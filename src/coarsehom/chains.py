@@ -7,8 +7,10 @@ tuples, equal to the sum of the orbit's indicator chains; this is a basis
 of the invariant chains over any coefficient ring, including Z.
 
 The boundary deletes coordinates with alternating signs.  Homology over Z
-goes through the Smith normal form (betti plus torsion); over a field it
-is a rank computation.
+is reduce-then-SNF: unit pivots are eliminated first and the Smith normal
+form runs on the small residual (betti plus torsion); over a field it is
+a rank computation.  `CoarseChainComplex` enumerates each basis once and
+builds every boundary from those.
 """
 
 from __future__ import annotations
@@ -159,12 +161,10 @@ def _boundary_of_tuple(tup, domain):
     return out
 
 
-def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
-    """Matrix of the alternating face sum from degree n to degree n - 1."""
-    basis_n = controlled_tuple_basis(space, n, invariant, cap)
+def _boundary_on(space, n, basis_n, basis_prev, invariant, domain):
+    """Boundary matrix from degree n to n - 1 on bases already enumerated."""
     if n == 0:
         return Matrix(0, len(basis_n), domain)
-    basis_prev = controlled_tuple_basis(space, n - 1, invariant, cap)
     index_prev = {t: i for i, t in enumerate(basis_prev)}
     cols = []
     for tup in basis_n:
@@ -183,6 +183,13 @@ def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
                 {index_prev[f]: v for f, v in _boundary_of_tuple(tup, domain).items()}
             )
     return Matrix.from_columns(cols, len(basis_prev), domain)
+
+
+def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
+    """Matrix of the alternating face sum from degree n to degree n - 1."""
+    basis_n = controlled_tuple_basis(space, n, invariant, cap)
+    basis_prev = controlled_tuple_basis(space, n - 1, invariant, cap) if n else []
+    return _boundary_on(space, n, basis_n, basis_prev, invariant, domain)
 
 
 def boundary_of_chain(c):
@@ -214,7 +221,10 @@ class CoarseChainComplex:
             controlled_tuple_basis(space, n, invariant, cap) for n in range(max_degree + 1)
         ]
         self.dims = [len(b) for b in self.bases]
-        self.d = [boundary(space, n, invariant, domain, cap) for n in range(max_degree + 1)]
+        self.d = [
+            _boundary_on(space, n, self.bases[n], self.bases[n - 1] if n else [], invariant, domain)
+            for n in range(max_degree + 1)
+        ]
         for n in range(2, max_degree + 1):
             if not (self.d[n - 1] @ self.d[n]).is_zero():
                 raise AssertionError(f"boundary fails d^2 = 0 at degree {n}")

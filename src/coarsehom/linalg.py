@@ -15,23 +15,29 @@ The three entry points used by the homology code are
     >>> [s.get(i, i) for i in range(2)]
     [1, 6]
 
-Elimination over Q and Z runs on denominator-cleared integer rows with
-fraction-free updates and content normalization, so entries stay small.
-Row order is chosen deterministically (unit pivots first, then fewest
-nonzeros, then lowest index); the reduced echelon form, and with it
-`kernel_basis`, is unique regardless, which keeps every downstream basis
-reproducible bit for bit.
+Rank and Smith form share one sparse elimination engine,
+`_unit_eliminate`.  It works on integer rows (Q rows with their
+denominators cleared), picks pivots in Markowitz order (shortest column,
+then shortest row) and deletes each pivot's row and column.  Over F_p any
+nonzero entry is a pivot, so the rank is the pivot count.  Over Z and Q
+only +-1 entries are, and a unit pivot splits off exactly: the Smith form
+of the matrix is 1 + that of the Schur complement.  What is left is a small
+residual: `rank` finishes it with fraction-free elimination, and
+`smith_normal_form` without transforms runs its Euclid loop on it only
+(reduce-then-SNF).  The transform-tracking Smith form runs the Euclid loop
+on the whole matrix.
+
+`kernel_basis` uses fraction-free elimination in column order, with
+content normalization so entries stay small; its reduced echelon form is
+unique, which keeps every downstream basis reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
-
-from . import _modp
-
-_DENSE_RANK_CAP = 4_000_000
 
 
 class _Rationals:
@@ -119,7 +125,7 @@ class _PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p >= 2**31:
-            raise ValueError("prime too large for the int64 fast path")
+            raise ValueError("primes of 2**31 and above are not supported")
         self.char = p
         self.name = f"F{p}"
         self.zero = 0
@@ -420,15 +426,20 @@ class HomologyResult:
         return f"H_{self.degree}: " + ", ".join(parts)
 
 
-def _integer_rows(matrix):
-    """Rows of `matrix` as integer dicts: denominators cleared, content 1."""
+def _row_dicts(matrix):
+    """Rows of `matrix` as {col: value} dicts, one per row (empty rows included)."""
     rows = [dict() for _ in range(matrix.nrows)]
     for j, col in matrix._cols.items():
         for i, v in col.items():
             rows[i][j] = v
+    return rows
+
+
+def _integer_rows(matrix):
+    """Rows of `matrix` as integer dicts: denominators cleared, content 1."""
     p = matrix.domain.char if matrix.domain.is_field else 0
     out = []
-    for row in rows:
+    for row in _row_dicts(matrix):
         if not row:
             out.append({})
             continue
@@ -436,7 +447,7 @@ def _integer_rows(matrix):
             den = 1
             for v in row.values():
                 den = den * v.denominator // gcd(den, v.denominator)
-            ints = {j: int(v * den) for j, v in row.items()}
+            ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
             g = 0
             for v in ints.values():
                 g = gcd(g, v)
@@ -532,26 +543,119 @@ def _echelon(rows, ncols, p, reduce):
     return pivots
 
 
-def _echelon_data(matrix, reduce):
-    rows = _integer_rows(matrix)
-    p = matrix.domain.char if matrix.domain.is_field else 0
-    pivots = _echelon(rows, matrix.ncols, p, reduce)
-    return rows, pivots
+def _unit_eliminate(rows, p):
+    """Markowitz-ordered sparse elimination on integer rows, in place.
+
+    `rows` is a list of {col: nonzero int}.  Over Z or Q (p = 0, Q rows
+    with their denominators cleared) only entries +-1 are taken as pivots;
+    over F_p (p prime, entries reduced mod p) any nonzero entry is.  The
+    next pivot comes from the shortest column that has one, and within it
+    from the shortest row; a lazy heap keyed on column length finds that
+    column, and a column is looked at again whenever an update touches it.
+
+    Each pivot's row and column are deleted.  Up to unimodular row and
+    column operations, a unit pivot splits off as a 1 x 1 block beside the
+    Schur complement, so rank and Smith form are those of what is left
+    plus one unit per pivot.  Returns the pivot count; the non-pivot rows are left
+    holding the Schur complement (the residual), which is empty over F_p.
+    """
+    col_rows = {}
+    for r, row in enumerate(rows):
+        for j in row:
+            holders = col_rows.get(j)
+            if holders is None:
+                col_rows[j] = {r}
+            else:
+                holders.add(r)
+    heap = [(len(holders), j) for j, holders in col_rows.items()]
+    heapify(heap)
+    barren = set()  # columns seen without a unit since their last update
+    count = 0
+    while heap:
+        length, c = heappop(heap)
+        holders = col_rows.get(c)
+        if holders is None or len(holders) != length or c in barren:
+            continue
+        candidates = holders if p else [r for r in holders if rows[r][c] in (1, -1)]
+        if not candidates:
+            barren.add(c)
+            continue
+        r0 = min(candidates, key=lambda r: (len(rows[r]), r))
+        prow = rows[r0]
+        rows[r0] = {}
+        b = prow.pop(c)
+        inv = pow(b, p - 2, p) if p else b  # a unit is its own inverse over Z
+        del col_rows[c]
+        holders.discard(r0)
+        for j in prow:
+            col_rows[j].discard(r0)
+        for r in holders:
+            trow = rows[r]
+            f = trow.pop(c) * inv
+            if p:
+                f %= p
+                for j, v in prow.items():
+                    w = trow.get(j)
+                    if w is None:
+                        trow[j] = -f * v % p
+                        col_rows[j].add(r)
+                    else:
+                        w = (w - f * v) % p
+                        if w:
+                            trow[j] = w
+                        else:
+                            del trow[j]
+                            col_rows[j].discard(r)
+            else:
+                for j, v in prow.items():
+                    w = trow.get(j)
+                    if w is None:
+                        trow[j] = -f * v
+                        col_rows[j].add(r)
+                    else:
+                        w -= f * v
+                        if w:
+                            trow[j] = w
+                        else:
+                            del trow[j]
+                            col_rows[j].discard(r)
+        for j in prow:
+            holders = col_rows[j]
+            if holders:
+                barren.discard(j)
+                heappush(heap, (len(holders), j))
+            else:
+                del col_rows[j]
+        count += 1
+    return count
+
+
+def _residual(rows):
+    """The nonzero rows left by `_unit_eliminate`, columns renumbered from 0.
+
+    Returns (rows, ncols).  Zero rows and columns carry no rank and no
+    invariant factor, so dropping them changes neither.
+    """
+    rows = [row for row in rows if row]
+    index = {j: k for k, j in enumerate(sorted({j for row in rows for j in row}))}
+    return [{index[j]: v for j, v in row.items()} for row in rows], len(index)
 
 
 def rank(matrix):
-    """Rank over the matrix's own domain (over Z this is the rank over Q)."""
-    if matrix.nrows == 0 or matrix.ncols == 0 or matrix.is_zero():
+    """Rank over the matrix's own domain (over Z this is the rank over Q).
+
+    Unit pivots first (`_unit_eliminate`), then fraction-free elimination
+    of the residual, which is empty over F_p.
+    """
+    if matrix.is_zero():
         return 0
-    dom = matrix.domain
-    if dom.is_field and dom.char and matrix.nrows * matrix.ncols <= _DENSE_RANK_CAP:
-        dense = [[0] * matrix.ncols for _ in range(matrix.nrows)]
-        for j, col in matrix._cols.items():
-            for i, v in col.items():
-                dense[i][j] = v
-        return _modp.rank_mod(dense, dom.char)
-    _, pivots = _echelon_data(matrix, reduce=False)
-    return len(pivots)
+    rows = _integer_rows(matrix)
+    p = matrix.domain.char
+    pivots = _unit_eliminate(rows, p)
+    if p:
+        return pivots
+    rest, ncols = _residual(rows)
+    return pivots + len(_echelon(rest, ncols, 0, reduce=False))
 
 
 def kernel_data(matrix):
@@ -565,8 +669,9 @@ def kernel_data(matrix):
         raise ValueError("kernel_basis needs a field domain")
     if matrix.ncols == 0:
         return [], []
-    rows, pivots = _echelon_data(matrix, reduce=True)
+    rows = _integer_rows(matrix)
     p = dom.char
+    pivots = _echelon(rows, matrix.ncols, p, reduce=True)
     pivot_cols = {c for _, c in pivots}
     norm_rows = []
     for r, c in pivots:
@@ -615,14 +720,13 @@ def _symmetric_divmod(a, b):
 class _SnfWork:
     """Mutable integer matrix with tracked elementary row/column operations."""
 
-    def __init__(self, matrix, with_transforms):
-        self.m = matrix.nrows
-        self.n = matrix.ncols
-        self.rows = [dict() for _ in range(self.m)]
+    def __init__(self, rows, ncols, with_transforms):
+        self.m = len(rows)
+        self.n = ncols
+        self.rows = rows
         self.col_rows = {}
-        for j, col in matrix._cols.items():
-            for i, v in col.items():
-                self.rows[i][j] = v
+        for i, row in enumerate(rows):
+            for j in row:
                 self.col_rows.setdefault(j, set()).add(i)
         self.track = with_transforms
         if with_transforms:
@@ -721,17 +825,8 @@ class _SnfWork:
             self.u[r] = {j: -v for j, v in self.u[r].items()}
 
 
-def smith_normal_form(matrix, with_transforms=True):
-    """Smith normal form over Z.
-
-    Returns (s, u, v) with u @ matrix @ v == s, where u and v are unimodular
-    and s is diagonal with each diagonal entry dividing the next.  With
-    with_transforms=False, u and v are returned as None (faster; used by the
-    homology routines, which only need the invariant factors).
-    """
-    if matrix.domain is not ZZ:
-        raise ValueError("smith_normal_form is defined over Z")
-    work = _SnfWork(matrix, with_transforms)
+def _euclid_smith(work):
+    """Bring `work` to Smith form in place by Euclid steps; returns the diagonal."""
     m, n = work.m, work.n
     k = 0
     limit = min(m, n)
@@ -797,9 +892,32 @@ def smith_normal_form(matrix, with_transforms=True):
         if work.rows[k].get(k, 0) < 0:
             work.negate_row(k)
         k += 1
+    return [work.rows[i].get(i, 0) for i in range(limit)]
+
+
+def smith_normal_form(matrix, with_transforms=True):
+    """Smith normal form over Z.
+
+    Returns (s, u, v) with u @ matrix @ v == s, where u and v are unimodular
+    and s is diagonal with each diagonal entry dividing the next.  With
+    with_transforms=False, u and v are returned as None: the unit pivots are
+    eliminated first (`_unit_eliminate`) and the Euclid loop runs only on
+    the residual.  The transform-tracking path runs the Euclid loop on the
+    whole matrix.
+    """
+    if matrix.domain is not ZZ:
+        raise ValueError("smith_normal_form is defined over Z")
+    m, n = matrix.nrows, matrix.ncols
+    rows = _row_dicts(matrix)
+    if with_transforms:
+        work = _SnfWork(rows, n, True)
+        diag = _euclid_smith(work)
+    else:
+        units = _unit_eliminate(rows, 0)
+        rest, ncols = _residual(rows)
+        diag = [1] * units + _euclid_smith(_SnfWork(rest, ncols, False))
     s = Matrix(m, n, ZZ)
-    for i in range(limit):
-        v = work.rows[i].get(i, 0)
+    for i, v in enumerate(diag):
         if v:
             s.set(i, i, v)
     if not with_transforms:
@@ -825,10 +943,12 @@ def invariant_factors(matrix):
 def homology_at(d_out, d_in, degree=0):
     """Homology ker(d_out) / im(d_in) of  C_in --d_in--> C --d_out--> C_out.
 
-    Over a field: a betti number.  Over Z: betti plus the invariant factors
-    of d_in that exceed 1 (the kernel of a map of free abelian groups is a
-    direct summand, so those factors are exactly the torsion of the
-    quotient).  The composability requirement d_out @ d_in = 0 is asserted.
+    Over a field: a betti number, from the ranks of d_out and d_in.  Over Z:
+    betti plus the invariant factors of d_in that exceed 1 (the kernel of a
+    map of free abelian groups is a direct summand, so those factors are
+    exactly the torsion of the quotient).  The rank of d_in over Z is the
+    number of its invariant factors, so one reduce-then-SNF pass of d_in
+    gives both.  The composability requirement d_out @ d_in = 0 is asserted.
     """
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"degree mismatch: d_out has {d_out.ncols} columns, d_in has {d_in.nrows} rows")
@@ -836,11 +956,13 @@ def homology_at(d_out, d_in, degree=0):
         raise ValueError("domain mismatch between boundaries")
     if not (d_out @ d_in).is_zero():
         raise ValueError("boundaries do not compose to zero")
-    dim = d_out.ncols
     r_out = rank(d_out)
-    r_in = rank(d_in)
-    betti = dim - r_out - r_in
     torsion = ()
     if d_in.domain is ZZ:
-        torsion = tuple(f for f in invariant_factors(d_in) if f > 1)
+        factors = invariant_factors(d_in)
+        r_in = len(factors)
+        torsion = tuple(f for f in factors if f > 1)
+    else:
+        r_in = rank(d_in)
+    betti = d_out.ncols - r_out - r_in
     return HomologyResult(degree=degree, betti=betti, torsion=torsion)

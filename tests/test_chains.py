@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import coarsehom.chains as chains_module
 from coarsehom.chains import (
     ControlledChain,
     CoarseChainComplex,
@@ -16,6 +17,7 @@ from coarsehom.chains import (
     xh,
 )
 from coarsehom.groups import cyclic_group, trivial_group
+from coarsehom.homology import ordinary_profile
 from coarsehom.linalg import GF, QQ, ZZ, Matrix
 from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min, point_space
 
@@ -103,6 +105,32 @@ def test_complex_builder_checks_d_squared():
     assert cx.homology(0).betti == 1
     with pytest.raises(ValueError, match="out of range"):
         cx.homology(3)
+
+
+def test_complex_enumerates_each_basis_once(monkeypatch):
+    calls = []
+    real = chains_module.controlled_tuple_basis
+
+    def counted(space, n, *args, **kwargs):
+        calls.append(n)
+        return real(space, n, *args, **kwargs)
+
+    monkeypatch.setattr(chains_module, "controlled_tuple_basis", counted)
+    x = g_can_min(cyclic_group(3))
+    cx = CoarseChainComplex(x, max_degree=4, domain=ZZ)
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+    monkeypatch.undo()
+    for n in range(5):
+        assert cx.d[n] == boundary(x, n, True, ZZ)
+
+
+def test_ordinary_profile_of_z4_to_degree_six():
+    # H_n(Z/4; Z) = Z, Z/4, 0, Z/4, 0, Z/4: the degree-6 boundary (1024 x 4096)
+    # leaves one non-unit factor after its unit pivots
+    profile = ordinary_profile(g_can_min(cyclic_group(4)), 6, ZZ)
+    assert [(h.betti, h.torsion) for h in profile] == [
+        (1, ()), (0, (4,)), (0, ()), (0, (4,)), (0, ()), (0, (4,)),
+    ]
 
 
 def test_random_spaces_have_square_zero_boundary():

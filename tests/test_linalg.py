@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import coarsehom.linalg as la
 from coarsehom.linalg import GF, QQ, ZZ, Matrix, homology_at, invariant_factors, kernel_basis, rank, smith_normal_form
 
 
@@ -74,12 +73,55 @@ def test_rank_mod_p_against_sympy():
             assert rank(m) == dm.rank()
 
 
-def test_rank_gf_sparse_path_agrees(monkeypatch):
-    rng = random.Random(3)
-    mats = [_random_matrix(rng, GF(5), rng.randint(1, 8), rng.randint(1, 8), 0, 4) for _ in range(15)]
-    dense_ranks = [rank(m) for m in mats]
-    monkeypatch.setattr(la, "_DENSE_RANK_CAP", 0)
-    assert [rank(m) for m in mats] == dense_ranks
+def test_rank_mod_p_sparse_against_sympy():
+    from sympy import GF as SymGF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(13)
+    for p in (2, 3, 97):
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 30), rng.randint(1, 50)
+            density = rng.choice((0.05, 0.1, 0.25))
+            if rng.random() < 0.5:
+                dense = [
+                    [rng.randint(1, p - 1) if rng.random() < density else 0 for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+            else:
+                # a product through a thin middle: low rank, many dependent rows
+                k = rng.randint(1, min(nrows, ncols))
+                left = [[rng.randint(0, p - 1) if rng.random() < 0.3 else 0 for _ in range(k)]
+                        for _ in range(nrows)]
+                right = [[rng.randint(0, p - 1) if rng.random() < density else 0
+                          for _ in range(ncols)] for _ in range(k)]
+                dense = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                         for row in left]
+            m = Matrix.from_dense(dense, GF(p))
+            dm = DomainMatrix.from_list(dense, SymGF(p))
+            assert rank(m) == dm.rank()
+
+
+def test_rank_q_fractional_against_sympy():
+    from sympy import Matrix as SymMatrix
+    from sympy import Rational
+
+    rng = random.Random(17)
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        k = rng.randint(0, 4)
+        m = Matrix(nrows, ncols, QQ)
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < 0.5:
+                    m.set(i, j, Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+        if k and nrows > k:
+            # make the last rows rational combinations of the first k
+            for i in range(k, nrows):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+                for j in range(ncols):
+                    m.set(i, j, sum(c * m.get(r, j) for r, c in enumerate(coeffs)))
+        sym = SymMatrix(nrows, ncols, lambda i, j: Rational(m.get(i, j).numerator, m.get(i, j).denominator))
+        assert rank(m) == sym.rank()
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,9 +177,97 @@ def test_smith_normal_form_against_sympy():
         assert mine == other
 
 
+def _diagonal_factors(s):
+    out = [s.get(i, i) for i in range(min(s.nrows, s.ncols))]
+    return [v for v in out if v]
+
+
+def _sympy_factors(m):
+    from sympy import Matrix as SymMatrix
+    from sympy.matrices.normalforms import smith_normal_form as sym_snf
+
+    if not (m.nrows and m.ncols):
+        return []
+    theirs = sym_snf(SymMatrix(m.nrows, m.ncols, lambda i, j: m.get(i, j)))
+    return sorted(abs(theirs[i, i]) for i in range(min(m.nrows, m.ncols)) if theirs[i, i])
+
+
+def _unitless_matrix(rng, nrows, ncols):
+    m = Matrix(nrows, ncols, ZZ)
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.6:
+                m.set(i, j, rng.choice((-6, -4, -3, -2, 2, 3, 4, 5, 6)))
+    return m
+
+
+def _thin_product(rng, nrows, ncols):
+    """A random product through a middle of width k <= both sides."""
+    k = rng.randint(1, max(1, min(nrows, ncols)))
+    left = _random_matrix(rng, ZZ, nrows, k, -3, 3)
+    right = _random_matrix(rng, ZZ, k, ncols, -3, 3)
+    return left @ right
+
+
+@pytest.mark.parametrize(
+    "dense, factors",
+    [
+        ([[2, 0], [0, 3]], [1, 6]),  # no unit anywhere: all in the residual
+        ([[1, 2], [2, 3]], [1, 1]),  # column 1 gets its unit only after elimination
+        ([[2, 3], [5, 7]], [1, 1]),  # unimodular without a single +-1 entry
+        ([[1, 1, 0], [1, -1, 0], [0, 0, 4]], [1, 2, 4]),
+        ([[0, 0, 0], [0, 0, 0]], []),
+    ],
+)
+def test_invariant_factors_unit_pivot_cases(dense, factors):
+    m = Matrix.from_dense(dense, ZZ)
+    assert invariant_factors(m) == factors
+    assert _diagonal_factors(smith_normal_form(m)[0]) == factors
+    assert _sympy_factors(m) == factors
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 5)])
+def test_invariant_factors_empty_and_zero_shapes(shape):
+    m = Matrix.zeros(*shape, ZZ)
+    assert invariant_factors(m) == []
+    s, _, _ = smith_normal_form(m, with_transforms=False)
+    assert (s.nrows, s.ncols) == shape and s.is_zero()
+
+
+def test_invariant_factors_match_transforms_and_sympy():
+    rng = random.Random(29)
+    makers = (
+        lambda a, b: _random_matrix(rng, ZZ, a, b, -3, 3),
+        lambda a, b: _unitless_matrix(rng, a, b),
+        lambda a, b: _thin_product(rng, a, b),
+    )
+    for trial in range(60):
+        m = makers[trial % 3](rng.randint(0, 7), rng.randint(0, 7))
+        fast = invariant_factors(m)
+        s, _, _ = smith_normal_form(m, with_transforms=False)
+        assert s == smith_normal_form(m)[0]
+        assert fast == _diagonal_factors(s)
+        assert fast == _sympy_factors(m)
+
+
+def test_invariant_factors_match_transforms_on_sparse_boundary_like():
+    # mostly +-1 entries, like coarse boundaries, at sizes where the
+    # residual left after the unit pivots is small but not empty
+    rng = random.Random(31)
+    for _ in range(12):
+        nrows, ncols = rng.randint(10, 25), rng.randint(10, 40)
+        m = Matrix(nrows, ncols, ZZ)
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < 0.15:
+                    m.set(i, j, rng.choice((-1, 1, 1, -2, 2, 3)))
+        assert invariant_factors(m) == _diagonal_factors(smith_normal_form(m)[0])
+
+
 def test_smith_rejects_field_matrices():
     with pytest.raises(ValueError):
         smith_normal_form(Matrix.identity(2, QQ))
+
 
 
 def test_homology_triangle_circle():
@@ -208,16 +338,3 @@ def test_matrix_entry_rules():
     assert m.get(1, 1) == 1
     with pytest.raises(IndexError):
         m.set(2, 0, 1)
-
-
-def test_modp_backends_agree():
-    import numpy as np
-
-    from coarsehom import _modp
-
-    rng = np.random.default_rng(0)
-    for p in (2, 3, 101):
-        for _ in range(8):
-            a = rng.integers(-20, 20, size=(rng.integers(1, 12), rng.integers(1, 12)))
-            expect = _modp._rank_mod_numpy(np.array(a, dtype=np.int64) % p, p)
-            assert _modp.rank_mod(a, p) == expect
