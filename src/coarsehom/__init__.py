@@ -65,14 +65,9 @@ from .groups import (
     symmetric_group,
     trivial_group,
 )
-from .homology import (
-    cyclic_profile,
-    hochschild_profile,
-    nerve_profiles,
-    ordinary_profile,
-    space_mixed_complex,
-)
-from .linalg import GF, QQ, ZZ, HomologyResult, Matrix, homology_at, kernel_basis, rank, smith_normal_form
+from .homology import nerve_profiles, ordinary_profile, space_mixed_complex
+from .linalg import (GF, QQ, ZZ, Complex, HomologyResult, InvariantError, Matrix, homology_at,
+                     kernel_basis, rank, smith_normal_form)
 from .spaces import (
     GBornCoarseSpace,
     SpaceMap,

@@ -9,7 +9,7 @@ import lint in the tests enforces it.
 from functools import lru_cache
 from itertools import product
 
-from .linalg import Matrix, homology_at
+from .linalg import Complex, Matrix
 
 
 def _validated(table):
@@ -49,9 +49,11 @@ class _BarComplex:
         self.max_degree = max_degree
         self.field = field
         self.dims = [self.g ** (n + 1) for n in range(max_degree + 1)]
-        self._b = [Matrix.zeros(0, self.dims[0], field)]
-        for n in range(1, max_degree + 1):
-            self._b.append(self._boundary(n))
+        self._b = Complex(
+            [Matrix.zeros(0, self.dims[0], field)]
+            + [self._boundary(n) for n in range(1, max_degree + 1)],
+            "bar complex",
+        )
         self._big_b = [self._connes(n) for n in range(max_degree)]
         self._tot = None
 
@@ -97,7 +99,7 @@ class _BarComplex:
         one_minus = Matrix.identity(self.dims[n + 1], f) - t_up
         return one_minus @ front @ norm
 
-    def _tot_boundary(self):
+    def _total(self):
         if self._tot is not None:
             return self._tot
         f = self.field
@@ -112,7 +114,7 @@ class _BarComplex:
                 deg = n - 2 * j
                 row_off_b = sum(self.dims[n - 1 - 2 * i] for i in range(j))
                 if deg >= 1:
-                    b = self._b[deg]
+                    b = self._b.d[deg]
                     for cidx in range(b.ncols):
                         for r, v in b.column(cidx).items():
                             m.add_at(row_off_b + r, col_off + cidx, v)
@@ -124,21 +126,18 @@ class _BarComplex:
                             m.add_at(row_off_B + r, col_off + cidx, v)
                 col_off += self.dims[deg]
             out.append(m)
-        for n in range(2, self.max_degree + 1):
-            assert (out[n - 1] @ out[n]).is_zero(), "total differential does not square to zero"
-        self._tot = out
-        return out
+        self._tot = Complex(out, "bar total complex")
+        return self._tot
 
     def hh(self, n):
         if not (0 <= n < self.max_degree):
             raise ValueError(f"hh({n}) needs max_degree > {n}")
-        return homology_at(self._b[n], self._b[n + 1], n).betti
+        return self._b.homology(n).betti
 
     def hc(self, n):
         if not (0 <= n < self.max_degree):
             raise ValueError(f"hc({n}) needs max_degree > {n}")
-        tot = self._tot_boundary()
-        return homology_at(tot[n], tot[n + 1], n).betti
+        return self._total().homology(n).betti
 
 
 @lru_cache(maxsize=None)

@@ -6,18 +6,18 @@ carriers).  The invariant complex uses one basis vector per G-orbit of
 tuples, equal to the sum of the orbit's indicator chains; this is a basis
 of the invariant chains over any coefficient ring, including Z.
 
-The boundary deletes coordinates with alternating signs.  Homology over Z
-is reduce-then-SNF: unit pivots are eliminated first and the Smith normal
-form runs on the small residual (betti plus torsion); over a field it is
-a rank computation.  `CoarseChainComplex` enumerates each basis once and
-builds every boundary from those.
+The boundary deletes coordinates with alternating signs.
+`CoarseChainComplex` is a `linalg.Complex`: it enumerates each basis once,
+builds every boundary from those, and checks d^2 = 0 once.  Its homology
+over Z is reduce-then-SNF (betti plus torsion), and over a field a rank
+computation; either way each boundary is reduced once.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .linalg import Matrix, ZZ, homology_at
+from .linalg import Complex, Matrix, ZZ, homology_at
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
@@ -208,31 +208,24 @@ def boundary_of_chain(c):
     return ControlledChain(c.space, c.degree - 1, out, dom, check=False)
 
 
-class CoarseChainComplex:
-    """Bases and boundary matrices up to a degree cap, with d^2 = 0 checked."""
+class CoarseChainComplex(Complex):
+    """Bases and boundary matrices up to a degree cap, as a `Complex`."""
 
     def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ, invariant=True,
                  cap=DEFAULT_TUPLE_CAP):
         self.space = space
-        self.domain = domain
         self.invariant = invariant
-        self.max_degree = max_degree
         self.bases = [
             controlled_tuple_basis(space, n, invariant, cap) for n in range(max_degree + 1)
         ]
-        self.dims = [len(b) for b in self.bases]
-        self.d = [
-            _boundary_on(space, n, self.bases[n], self.bases[n - 1] if n else [], invariant, domain)
-            for n in range(max_degree + 1)
-        ]
-        for n in range(2, max_degree + 1):
-            if not (self.d[n - 1] @ self.d[n]).is_zero():
-                raise AssertionError(f"boundary fails d^2 = 0 at degree {n}")
-
-    def homology(self, n):
-        if not (0 <= n <= self.max_degree - 1):
-            raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
-        return homology_at(self.d[n], self.d[n + 1], degree=n)
+        super().__init__(
+            [
+                _boundary_on(space, n, self.bases[n], self.bases[n - 1] if n else [],
+                             invariant, domain)
+                for n in range(max_degree + 1)
+            ],
+            "coarse chain complex",
+        )
 
 
 def xh(space, n, domain=ZZ, invariant=True, max_degree=DEFAULT_MAX_DEGREE,

@@ -6,7 +6,8 @@ Subcommands:
 
 Spaces are either JSON files or builtins (@point, @gcanmin:<group>,
 @gmodh:<group>/<subgroup>).  Exit codes: 0 success, 1 a check failed,
-2 malformed input or an unsupported request.
+2 malformed input or an unsupported request, 3 an internal identity
+failed (a bug, reported by name).
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .axioms import (
 from .controlled import generator, require_nerve_admissible
 from .groups import FiniteGroup, named_group, named_subgroup
 from .homology import nerve_profiles, ordinary_profile
-from .linalg import GF, QQ, ZZ
+from .linalg import GF, QQ, ZZ, InvariantError
 from .spaces import GBornCoarseSpace, coset_space, g_can_min, is_flasque, point_space
 from .trace import TraceContext, dennis_trace_k0, xc_connes_operator
 
@@ -306,6 +307,8 @@ def _cmd_run(args):
                 tail = f" ({'; '.join(r['details'])})" if r["details"] else ""
                 lines.append(f"{r['name']}: {mark}{tail}")
             failed = failed or any(not r["ok"] for r in rows)
+    except InvariantError:
+        raise
     except ValueError as e:
         raise InputError("space", str(e))
     doc["ok"] = not failed
@@ -352,6 +355,9 @@ def main(argv=None):
         where = f" at {e.path}" if e.path else ""
         print(f"error{where}: {e.message}", file=sys.stderr)
         return 2
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

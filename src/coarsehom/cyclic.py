@@ -13,8 +13,11 @@ Sign conventions (pinned by the identity suite below):
     t    = (-1)^n  x  cyclic rotation,
     b    = sum of (-1)^i d_i,
     B    = (1 - t) . (insert identity at the front) . N,   N = sum of t^i.
-Every constructed mixed complex has b^2 = 0, B^2 = 0, bB + Bb = 0 verified
-at construction; a failure raises with a convention diagnostic.
+The b-complex and the total complex are `linalg.Complex` values, so b^2 = 0
+and d^2 = 0 are checked once each, where they are built; `MixedComplex`
+adds B^2 = 0 and bB + Bb = 0.  A failed identity raises `InvariantError`
+with a convention diagnostic.  HH is the homology of the b-complex and HC
+that of the total complex, built on the first `hc` call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 
 from .controlled import HomSpace, compose, identity_morphism
-from .linalg import Matrix, homology_at
+from .linalg import Complex, InvariantError, Matrix
 
 DEFAULT_MAX_DEGREE = 4
 DEFAULT_BASIS_CAP = 200_000
@@ -235,14 +238,14 @@ class CyclicModule:
                     lhs = self.face(n - 1, i) @ self.face(n, j)
                     rhs = self.face(n - 1, j - 1) @ self.face(n, i)
                     if lhs != rhs:
-                        raise ValueError(f"simplicial identity d_{i} d_{j} fails in degree {n}")
+                        raise InvariantError(f"simplicial identity d_{i} d_{j}", n)
         for n in range(self.max_degree + 1):
             t = self.cyclic(n)
             acc = Matrix.identity(self.dims[n], self.domain)
             for _ in range(n + 1):
                 acc = t @ acc
             if acc != Matrix.identity(self.dims[n], self.domain):
-                raise ValueError(f"t^{n + 1} is not the identity in degree {n}")
+                raise InvariantError(f"t^{n + 1} = 1", n)
         for n in range(1, self.max_degree + 1):
             t_n = self.cyclic(n)
             t_prev = self.cyclic(n - 1)
@@ -250,9 +253,7 @@ class CyclicModule:
                 lhs = self.face(n, i) @ t_n
                 rhs = (t_prev @ self.face(n, i - 1)).scale(self.domain.neg(self.domain.one))
                 if lhs != rhs:
-                    raise ValueError(
-                        f"cyclic compatibility d_{i} t = -t d_{i - 1} fails in degree {n}"
-                    )
+                    raise InvariantError(f"cyclic compatibility d_{i} t = -t d_{i - 1}", n)
         return True
 
 
@@ -299,13 +300,13 @@ def algebra_cyclic_module(algebra, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BA
 
 
 class MixedComplex:
-    """(C, b, B) with b^2 = 0, B^2 = 0, bB + Bb = 0 checked at construction."""
+    """(C, b, B): b^2 = 0 checked by the b-complex, B^2 = 0 and bB + Bb = 0 here."""
 
     def __init__(self, max_degree, domain, dims, b, big_b, source=None):
         self.max_degree = max_degree
         self.domain = domain
         self.dims = dims
-        self._b = b
+        self.b_complex = Complex(b, "Hochschild complex")
         self._B = big_b
         self.source = source
         self._tot = None
@@ -314,7 +315,7 @@ class MixedComplex:
     def b(self, n):
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"b undefined in degree {n}")
-        return self._b[n]
+        return self.b_complex.d[n]
 
     def B(self, n):
         if not (0 <= n < self.max_degree):
@@ -322,23 +323,18 @@ class MixedComplex:
         return self._B[n]
 
     def _verify(self):
-        bad = []
-        for n in range(2, self.max_degree + 1):
-            if not (self._b[n - 1] @ self._b[n]).is_zero():
-                bad.append(f"b^2 != 0 at degree {n}")
+        b = self.b_complex.d
         for n in range(self.max_degree - 1):
             if not (self._B[n + 1] @ self._B[n]).is_zero():
-                bad.append(f"B^2 != 0 at degree {n}")
+                raise InvariantError("mixed-complex identity B^2 = 0 (sign-convention bug)", n)
         for n in range(self.max_degree):
-            anti = self._b[n + 1] @ self._B[n]
+            anti = b[n + 1] @ self._B[n]
             if n >= 1:
-                anti = anti + self._B[n - 1] @ self._b[n]
+                anti = anti + self._B[n - 1] @ b[n]
             if not anti.is_zero():
-                bad.append(f"bB + Bb != 0 at degree {n}")
-        if bad:
-            raise ValueError(
-                "mixed-complex identities fail (sign-convention bug): " + "; ".join(bad)
-            )
+                raise InvariantError(
+                    "mixed-complex identity bB + Bb = 0 (sign-convention bug)", n
+                )
 
 
 def to_mixed(module, extra_outer_sign=False):
@@ -378,15 +374,13 @@ def to_mixed(module, extra_outer_sign=False):
     return MixedComplex(N, dom, dims, b, big, source=module)
 
 
-class TotComplex:
+class TotComplex(Complex):
     """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ..."""
 
     def __init__(self, mixed):
         N = mixed.max_degree
         dom = mixed.domain
-        self.max_degree = N
-        self.domain = dom
-        self.dims = []
+        dims = []
         self.offsets = []
         for n in range(N + 1):
             offs = []
@@ -396,11 +390,11 @@ class TotComplex:
                 offs.append(total)
                 total += mixed.dims[k]
                 k -= 2
-            self.dims.append(total)
+            dims.append(total)
             self.offsets.append(offs)
-        self.d = [Matrix(0, self.dims[0], dom)]
+        d = [Matrix(0, dims[0], dom)]
         for n in range(1, N + 1):
-            mat = Matrix(self.dims[n - 1], self.dims[n], dom)
+            mat = Matrix(dims[n - 1], dims[n], dom)
             for j, off_in in enumerate(self.offsets[n]):
                 deg = n - 2 * j
                 if deg >= 1:
@@ -415,14 +409,12 @@ class TotComplex:
                     off_out = self.offsets[n - 1][j - 1]
                     for r, c, v in blk.entries():
                         mat.set(off_out + r, off_in + c, v)
-            self.d.append(mat)
-        for n in range(2, N + 1):
-            if not (self.d[n - 1] @ self.d[n]).is_zero():
-                raise AssertionError(f"total differential fails d^2 = 0 at degree {n}")
+            d.append(mat)
+        super().__init__(d, "total complex")
 
 
 def tot_B(mixed):
-    """The total complex with d^2 = 0 verified."""
+    """The total complex, built on first use."""
     if mixed._tot is None:
         mixed._tot = TotComplex(mixed)
     return mixed._tot
@@ -430,14 +422,9 @@ def tot_B(mixed):
 
 def hh(mixed, n):
     """Hochschild homology of the mixed complex at degree n <= N - 1."""
-    if not (0 <= n <= mixed.max_degree - 1):
-        raise ValueError(f"hh degree {n} out of range (need n + 1 <= {mixed.max_degree})")
-    return homology_at(mixed.b(n), mixed.b(n + 1), degree=n)
+    return mixed.b_complex.homology(n)
 
 
 def hc(mixed, n):
     """Cyclic homology: homology of the total complex at degree n <= N - 1."""
-    if not (0 <= n <= mixed.max_degree - 1):
-        raise ValueError(f"hc degree {n} out of range (need n + 1 <= {mixed.max_degree})")
-    tot = tot_B(mixed)
-    return homology_at(tot.d[n], tot.d[n + 1], degree=n)
+    return tot_B(mixed).homology(n)

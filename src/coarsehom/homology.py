@@ -21,16 +21,6 @@ def space_mixed_complex(space, max_degree=3, domain=QQ, objects=None):
     return to_mixed(nerve)
 
 
-def hochschild_profile(space, max_degree=3, domain=QQ, objects=None):
-    mixed = space_mixed_complex(space, max_degree, domain, objects)
-    return [hh(mixed, n).betti for n in range(max_degree)]
-
-
-def cyclic_profile(space, max_degree=3, domain=QQ, objects=None):
-    mixed = space_mixed_complex(space, max_degree, domain, objects)
-    return [hc(mixed, n).betti for n in range(max_degree)]
-
-
 def nerve_profiles(space, max_degree=3, domain=QQ, objects=None):
     """(Hochschild, cyclic) betti lists sharing one nerve build."""
     mixed = space_mixed_complex(space, max_degree, domain, objects)

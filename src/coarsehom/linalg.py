@@ -30,11 +30,15 @@ on the whole matrix.
 `kernel_basis` uses fraction-free elimination in column order, with
 content normalization so entries stay small; its reduced echelon form is
 unique, which keeps every downstream basis reproducible bit for bit.
+
+`Complex` is the one chain-complex value: it checks d^2 = 0 once, when it
+is built (the package's only such check), and its `homology` reduces each
+boundary at most once.  A failed identity raises `InvariantError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -940,29 +944,67 @@ def invariant_factors(matrix):
     return [v for v in out if v]
 
 
+class InvariantError(ValueError):
+    """An identity that holds by construction failed, at `degree`: a bug, not bad input."""
+
+    def __init__(self, identity, degree):
+        super().__init__(f"{identity} fails in degree {degree}")
+        self.identity = identity
+        self.degree = degree
+
+
+class Complex:
+    """A chain complex of free modules: boundaries d[0..N], d[n]: C_n -> C_(n-1).
+
+    d[n-1] @ d[n] = 0 is checked once, here, and the product rejects shapes
+    or domains that do not match with a ValueError; `name` labels the
+    complex in the error.  `homology(n)` reduces each boundary at most once
+    and caches the result: its rank over a field, its invariant factors over
+    Z, where the rank is the number of factors.
+    """
+
+    def __init__(self, d, name="complex"):
+        for n in range(1, len(d)):
+            if not (d[n - 1] @ d[n]).is_zero():
+                raise InvariantError(f"d^2 = 0 of the {name}", n)
+        self.d = list(d)
+        self.domain = d[0].domain
+        self.max_degree = len(d) - 1
+        self.dims = [m.ncols for m in d]
+        self._ranks = {}
+        self._factors = {}
+
+    def homology(self, n):
+        """ker d[n] / im d[n+1]: a betti number and, over Z, the torsion.
+
+        Over Z the torsion is the invariant factors of d[n+1] that exceed 1
+        (the kernel of a map of free abelian groups is a direct summand).
+        """
+        if not (0 <= n < self.max_degree):
+            raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
+        torsion = ()
+        if self.domain is ZZ:
+            torsion = tuple(f for f in self._invariant_factors(n + 1) if f > 1)
+        betti = self.dims[n] - self._rank(n) - self._rank(n + 1)
+        return HomologyResult(degree=n, betti=betti, torsion=torsion)
+
+    def _rank(self, n):
+        if n in self._factors:
+            return len(self._factors[n])
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.d[n])
+        return self._ranks[n]
+
+    def _invariant_factors(self, n):
+        if n not in self._factors:
+            self._factors[n] = invariant_factors(self.d[n])
+        return self._factors[n]
+
+
 def homology_at(d_out, d_in, degree=0):
     """Homology ker(d_out) / im(d_in) of  C_in --d_in--> C --d_out--> C_out.
 
-    Over a field: a betti number, from the ranks of d_out and d_in.  Over Z:
-    betti plus the invariant factors of d_in that exceed 1 (the kernel of a
-    map of free abelian groups is a direct summand, so those factors are
-    exactly the torsion of the quotient).  The rank of d_in over Z is the
-    number of its invariant factors, so one reduce-then-SNF pass of d_in
-    gives both.  The composability requirement d_out @ d_in = 0 is asserted.
+    The one-pair form of `Complex.homology`; a pair that does not compose
+    to zero raises `InvariantError`, a ValueError.
     """
-    if d_out.ncols != d_in.nrows:
-        raise ValueError(f"degree mismatch: d_out has {d_out.ncols} columns, d_in has {d_in.nrows} rows")
-    if d_out.domain is not d_in.domain:
-        raise ValueError("domain mismatch between boundaries")
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("boundaries do not compose to zero")
-    r_out = rank(d_out)
-    torsion = ()
-    if d_in.domain is ZZ:
-        factors = invariant_factors(d_in)
-        r_in = len(factors)
-        torsion = tuple(f for f in factors if f > 1)
-    else:
-        r_in = rank(d_in)
-    betti = d_out.ncols - r_out - r_in
-    return HomologyResult(degree=degree, betti=betti, torsion=torsion)
+    return replace(Complex([d_out, d_in]).homology(0), degree=degree)

@@ -111,21 +111,11 @@ class GBornCoarseSpace:
         """(x, y) in u_star?"""
         return self._comp_of[x] == self._comp_of[y]
 
-    def u_star_pairs(self):
-        """The maximal entourage as an explicit pair set."""
-        return frozenset((x, y) for x in range(self.n) for y in range(self.n) if self.related(x, y))
-
     def components(self):
         return self._components
 
     def orbits(self):
         return self._orbits
-
-    def orbit_of(self, x):
-        for orb in self._orbits:
-            if x in orb:
-                return orb
-        raise ValueError(f"point index {x} out of range")
 
     def stabilizer(self, x):
         return tuple(g for g in range(len(self.group)) if self.action[g][x] == x)
@@ -201,10 +191,6 @@ class SpaceMap:
     def identity(cls, space):
         return cls(space, space, tuple(range(space.n)))
 
-    @classmethod
-    def from_labels(cls, source, target, mapping):
-        return cls(source, target, tuple(mapping[p] for p in source.points))
-
     def __call__(self, x):
         return self.assignment[x]
 
@@ -251,8 +237,8 @@ def is_morphism(f):
     """Equivariant + controlled + proper, with a violation report.
 
     Properness (preimages of bounded sets are bounded) holds for any set map
-    between finite carriers because every subset is bounded; the check is
-    retained structurally so the report documents it.
+    between finite carriers because every subset is bounded, so it is not
+    checked.
     """
     violations = []
     src, tgt = f.source, f.target
@@ -281,10 +267,6 @@ def is_morphism(f):
         else:
             continue
         break
-    for gen in tgt.bornology_generators:
-        preimage = {x for x in range(src.n) if f(x) in gen}
-        if not preimage <= set(range(src.n)):  # structural properness record
-            violations.append("improper preimage")
     return MorphismReport(violations)
 
 

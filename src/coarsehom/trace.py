@@ -25,9 +25,9 @@ from itertools import product
 
 from .chains import (
     ControlledChain,
+    _boundary_on,
     _collect_on_orbits,
     _tuple_orbit,
-    boundary,
     controlled_tuple_basis,
 )
 from .controlled import (
@@ -149,7 +149,12 @@ class TraceContext:
         return ControlledChain(self.space, n, plain, dom, check=False)
 
     def boundary_matrix(self, n):
-        return boundary(self.space, n, invariant=True, domain=self.domain)
+        """The chain boundary from degree n to n - 1 on the context's chain bases."""
+        if not (0 <= n <= self.max_degree):
+            raise ValueError(f"boundary undefined in degree {n}")
+        bases = self.chain_bases
+        return _boundary_on(self.space, n, bases[n], bases[n - 1] if n else [], True,
+                            self.domain)
 
     # -- the point section ---------------------------------------------------
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import coarsehom.homology as homology_module
 from coarsehom.axioms import (
     _acyclic_degrees,
     _iterated_cone,
@@ -123,6 +124,14 @@ def test_morita_on_group_spaces():
 
 def test_identity_suite_runs():
     assert check_identity_suite(g_can_min(cyclic_group(3)), max_degree=3).ok
+
+
+def test_identity_suite_reports_a_failed_identity(monkeypatch):
+    real = homology_module.to_mixed
+    monkeypatch.setattr(homology_module, "to_mixed", lambda m: real(m, extra_outer_sign=True))
+    report = check_identity_suite(g_can_min(cyclic_group(2)), 3)
+    assert not report.ok
+    assert "bB + Bb = 0 (sign-convention bug) fails in degree 2" in report.details[0]
 
 
 def test_random_space_is_deterministic_and_budgeted():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import coarsehom.chains as chains_module
+import coarsehom.linalg as linalg_module
 from coarsehom.chains import (
     ControlledChain,
     CoarseChainComplex,
@@ -18,7 +19,7 @@ from coarsehom.chains import (
 )
 from coarsehom.groups import cyclic_group, trivial_group
 from coarsehom.homology import ordinary_profile
-from coarsehom.linalg import GF, QQ, ZZ, Matrix
+from coarsehom.linalg import GF, QQ, ZZ, Complex, InvariantError, Matrix
 from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min, point_space
 
 
@@ -105,6 +106,37 @@ def test_complex_builder_checks_d_squared():
     assert cx.homology(0).betti == 1
     with pytest.raises(ValueError, match="out of range"):
         cx.homology(3)
+    one = Matrix.from_dense([[1]], ZZ)
+    with pytest.raises(InvariantError, match="d\\^2 = 0 of the test complex fails in degree 2") as err:
+        Complex([Matrix.zeros(0, 1, ZZ), one, one], "test complex")
+    assert err.value.degree == 2
+
+
+@pytest.mark.parametrize("domain", [QQ, ZZ], ids=["Q", "Z"])
+def test_homology_reduces_each_boundary_once(monkeypatch, domain):
+    ranked, factored = [], []
+    real_rank, real_factors = linalg_module.rank, linalg_module.invariant_factors
+
+    def counted_rank(m):
+        ranked.append(m)
+        return real_rank(m)
+
+    def counted_factors(m):
+        factored.append(m)
+        return real_factors(m)
+
+    monkeypatch.setattr(linalg_module, "rank", counted_rank)
+    monkeypatch.setattr(linalg_module, "invariant_factors", counted_factors)
+    cx = CoarseChainComplex(g_can_min(cyclic_group(3)), max_degree=4, domain=domain)
+    profile = [(h.betti, h.torsion) for h in (cx.homology(n) for n in range(4))]
+    reduced = [id(m) for m in ranked + factored]
+    assert len(reduced) == len(set(reduced)) == 5
+    if domain is ZZ:
+        assert profile == [(1, ()), (0, (3,)), (0, ()), (0, (3,))]
+        assert [id(m) for m in ranked] == [id(cx.d[0])]
+    else:
+        assert profile == [(1, ()), (0, ()), (0, ()), (0, ())]
+        assert factored == []
 
 
 def test_complex_enumerates_each_basis_once(monkeypatch):

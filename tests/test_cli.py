@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import coarsehom.homology as homology_module
 from coarsehom.cli import main
 
 
@@ -148,6 +149,15 @@ def test_axioms_theory_runs_green(capsys):
     assert code == 0, out
     assert "u_continuity: pass" in out
     assert "result: ok" in out
+
+
+def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys):
+    real = homology_module.to_mixed
+    monkeypatch.setattr(homology_module, "to_mixed", lambda m: real(m, extra_outer_sign=True))
+    code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--max-degree", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and "sign-convention" in err
 
 
 def test_unknown_builtin(capsys):

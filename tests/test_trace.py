@@ -1,6 +1,7 @@
 import pytest
 
-from coarsehom.chains import ControlledChain, pushforward_matrix
+import coarsehom.chains as chains_module
+from coarsehom.chains import ControlledChain, boundary, pushforward_matrix
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, trivial_group
 from coarsehom.linalg import GF, Matrix, QQ
@@ -88,6 +89,19 @@ def test_phi_intertwines_b_with_the_boundary(make):
         left = ctx.phi_matrix(n - 1) @ ctx.mixed.b(n)
         right = ctx.boundary_matrix(n) @ ctx.phi_matrix(n)
         assert left.to_dense() == right.to_dense()
+
+
+def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
+    ctx = canmin_ctx(3)
+    expected = [boundary(ctx.space, n, True, QQ) for n in range(ctx.max_degree + 1)]
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("boundary_matrix enumerated a basis again")
+
+    monkeypatch.setattr(chains_module, "controlled_tuple_basis", no_enumeration)
+    assert [ctx.boundary_matrix(n) for n in range(ctx.max_degree + 1)] == expected
+    with pytest.raises(ValueError, match="degree"):
+        ctx.boundary_matrix(ctx.max_degree + 1)
 
 
 def test_phi_after_b_over_gf5():
