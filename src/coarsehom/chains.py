@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import Complex, Matrix, ZZ, homology_at
+from .linalg import ZZ, Complex, InvariantError, Matrix, homology_at
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
@@ -138,7 +138,7 @@ def _collect_on_orbits(space, plain_coeffs, reps_index, domain):
         seen.add(rep)
         vals = {plain_coeffs.get(member, domain.zero) for member in _tuple_orbit(space, rep)}
         if len(vals) != 1:
-            raise AssertionError("chain is not constant on orbits")
+            raise InvariantError("an invariant chain is constant on orbits", len(rep) - 1)
         v = vals.pop()
         if v != domain.zero:
             col[reps_index[rep]] = v

@@ -191,7 +191,9 @@ def _run_trace(space, max_degree, domain):
     try:
         dennis_trace_k0(ctx, generator(space, domain))
         dennis = True
-    except (AssertionError, ValueError):
+    except InvariantError:
+        raise
+    except ValueError:
         dennis = False
     ok = all(chain_map) and all(intertwine) and dennis and (section is None or all(section))
     return {

@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over Q, prime fields F_p, and Z.
 
-Everything here is integer-exact: rationals are `fractions.Fraction`,
-prime-field elements are reduced ints, integer matrices are plain ints.
-Floating point never appears.
+Everything here is integer-exact.  A rational is kept in canonical form:
+a plain int when it is integral and a `fractions.Fraction` only when it is
+a true fraction.  Prime-field elements are ints in range(p), and integer
+matrices hold plain ints.  Floating point never appears.
 
 The three entry points used by the homology code are
 
@@ -10,7 +11,7 @@ The three entry points used by the homology code are
     >>> rank(m)
     1
     >>> kernel_basis(m)
-    [{1: Fraction(1, 1), 0: Fraction(-2, 1)}]
+    [{1: 1, 0: -2}]
     >>> s, _, _ = smith_normal_form(Matrix.from_dense([[2, 0], [0, 3]], ZZ))
     >>> [s.get(i, i) for i in range(2)]
     [1, 6]
@@ -27,6 +28,10 @@ residual: `rank` finishes it with fraction-free elimination, and
 (reduce-then-SNF).  The transform-tracking Smith form runs the Euclid loop
 on the whole matrix.
 
+`Matrix` products, sums and scalings accumulate each output column with
+plain + and *, which act alike on int and Fraction, and finish the column
+once: reduce mod p, make integral rationals ints, and drop zeros.
+
 `kernel_basis` uses fraction-free elimination in column order, with
 content normalization so entries stay small; its reduced echelon form is
 unique, which keeps every downstream basis reproducible bit for bit.
@@ -41,35 +46,40 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
+
+
+def _canonical_q(v):
+    """An int or Fraction in canonical form: an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
 
 
 class _Rationals:
+    """Q, with each rational an int when integral and a Fraction otherwise."""
+
     is_field = True
     char = 0
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _canonical_q(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _canonical_q(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical_q(a * b)
 
     def neg(self, a):
         return -a
 
     def div(self, a, b):
-        return a / b
+        return _canonical_q(Fraction(a, b))
 
     def __repr__(self):
         return "QQ"
@@ -312,71 +322,69 @@ class Matrix:
 
     def scale(self, c):
         c = self.domain.coerce(c)
-        out = Matrix(self.nrows, self.ncols, self.domain)
-        if c == self.domain.zero:
-            return out
-        for j, col in self._cols.items():
-            out._cols[j] = {i: self.domain.mul(c, v) for i, v in col.items()}
-        return out
+        cols = {j: {i: c * v for i, v in col.items()} for j, col in self._cols.items()}
+        return self._finished(self.nrows, self.ncols, cols)
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        out = Matrix(self.nrows, self.ncols, self.domain)
-        for j in set(self._cols) | set(other._cols):
-            col = {}
-            a = self._cols.get(j, {})
-            b = other._cols.get(j, {})
-            for i in set(a) | set(b):
-                v = self.domain.add(a.get(i, self.domain.zero), b.get(i, self.domain.zero))
-                if v != self.domain.zero:
-                    col[i] = v
-            if col:
-                out._cols[j] = col
-        return out
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(self.domain.neg(self.domain.one))
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other, sign = +-1."""
+        self._check_same_shape(other)
+        cols = {}
+        for j in self._cols.keys() | other._cols.keys():
+            acc = cols[j] = dict(self._cols.get(j, ()))
+            for i, v in other._cols.get(j, {}).items():
+                acc[i] = acc.get(i, 0) + sign * v
+        return self._finished(self.nrows, self.ncols, cols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         if self.domain is not other.domain:
             raise ValueError("domain mismatch in matrix product")
-        dom = self.domain
-        out = Matrix(self.nrows, other.ncols, dom)
+        acols = self._cols
+        cols = {}
         for j, bcol in other._cols.items():
-            acc = {}
+            acc = cols[j] = {}
             for k, bv in bcol.items():
-                acol = self._cols.get(k)
-                if not acol:
-                    continue
-                for i, av in acol.items():
-                    w = acc.get(i, dom.zero)
-                    w = dom.add(w, dom.mul(av, bv))
-                    if w == dom.zero:
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = w
-            if acc:
-                out._cols[j] = acc
-        return out
+                acol = acols.get(k)
+                if acol:
+                    for i, av in acol.items():
+                        acc[i] = acc.get(i, 0) + av * bv
+        return self._finished(self.nrows, other.ncols, cols)
 
     def mat_vec(self, vec):
         """Apply to a sparse column vector {index: value}."""
-        dom = self.domain
-        acc = {}
-        for k, bv in vec.items():
-            acol = self._cols.get(k)
-            if not acol:
-                continue
-            bv = dom.coerce(bv)
-            for i, av in acol.items():
-                w = dom.add(acc.get(i, dom.zero), dom.mul(av, bv))
-                if w == dom.zero:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = w
-        return acc
+        column = Matrix(self.ncols, 1, self.domain)
+        for k, v in vec.items():
+            column.set(k, 0, v)
+        return (self @ column).column(0)
+
+    def _finished(self, nrows, ncols, cols):
+        """A new matrix over this domain from raw columns {col: {row: value}}
+        summed with plain + and *.  Each column is finished once, in place:
+        reduced mod p over F_p, integral rationals made ints over Q, zeros
+        dropped."""
+        p = self.domain.char
+        rational = self.domain is QQ
+        out = Matrix(nrows, ncols, self.domain)
+        for j, col in cols.items():
+            if p:
+                for i, v in col.items():
+                    col[i] = v % p
+            elif rational:
+                for i, v in col.items():
+                    if type(v) is Fraction and v.denominator == 1:
+                        col[i] = v.numerator
+            if 0 in col.values():
+                col = {i: v for i, v in col.items() if v}
+            if col:
+                out._cols[j] = col
+        return out
 
     def to_dense(self):
         rows = [[self.domain.zero] * self.ncols for _ in range(self.nrows)]
@@ -440,29 +448,20 @@ def _row_dicts(matrix):
 
 
 def _integer_rows(matrix):
-    """Rows of `matrix` as integer dicts: denominators cleared, content 1."""
-    p = matrix.domain.char if matrix.domain.is_field else 0
+    """Rows of `matrix` as integer dicts: denominators cleared, content 1.
+
+    Over F_p the entries are already ints in range(p) and are kept as they are.
+    """
+    if matrix.domain.char:
+        return _row_dicts(matrix)
+    rational = matrix.domain is QQ
     out = []
     for row in _row_dicts(matrix):
-        if not row:
-            out.append({})
-            continue
-        if matrix.domain is QQ:
-            den = 1
-            for v in row.values():
-                den = den * v.denominator // gcd(den, v.denominator)
-            ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-            g = 0
-            for v in ints.values():
-                g = gcd(g, v)
-            out.append({j: v // g for j, v in ints.items()})
-        elif p:
-            out.append({j: v % p for j, v in row.items() if v % p})
-        else:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-            out.append({j: v // g for j, v in row.items()})
+        if rational and any(type(v) is Fraction for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        g = gcd(*row.values())
+        out.append({j: v // g for j, v in row.items()} if g > 1 else row)
     return out
 
 
@@ -945,10 +944,12 @@ def invariant_factors(matrix):
 
 
 class InvariantError(ValueError):
-    """An identity that holds by construction failed, at `degree`: a bug, not bad input."""
+    """An identity that holds by construction failed, at `degree` if it has
+    one: a bug, not bad input."""
 
-    def __init__(self, identity, degree):
-        super().__init__(f"{identity} fails in degree {degree}")
+    def __init__(self, identity, degree=None):
+        where = "" if degree is None else f" in degree {degree}"
+        super().__init__(f"{identity} fails{where}")
         self.identity = identity
         self.degree = degree
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .linalg import InvariantError
+
 
 class GBornCoarseSpace:
     """Immutable finite G-bornological coarse space.
@@ -74,7 +76,7 @@ class GBornCoarseSpace:
                     if (self._comp_of[x] == self._comp_of[y]) != (
                         self._comp_of[self.action[g][x]] == self._comp_of[self.action[g][y]]
                     ):
-                        raise AssertionError("closure lost G-invariance (internal bug)")
+                        raise InvariantError("G-invariance of the coarse closure")
 
         self._orbits = self._compute_orbits()
         self._components = self._compute_components()

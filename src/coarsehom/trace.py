@@ -37,7 +37,7 @@ from .controlled import (
     require_nerve_admissible,
 )
 from .cyclic import DEFAULT_BASIS_CAP, DEFAULT_MAX_DEGREE, additive_cyclic_nerve, to_mixed
-from .linalg import Matrix, QQ
+from .linalg import QQ, InvariantError, Matrix
 
 
 def _trace_of(mat, dom):
@@ -202,7 +202,7 @@ def dennis_trace_k0(ctx, m):
         (x,): dom.coerce(m.dims[x]) for x in range(ctx.space.n) if m.dims[x]
     }
     if image.coefficients != expected:
-        raise AssertionError("phi of the identity class is not the dimension chain")
+        raise InvariantError("phi of the identity class = the dimension chain", 0)
     return vec, image
 
 

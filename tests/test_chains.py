@@ -242,3 +242,11 @@ def test_pushforward_needs_morphism():
 def test_degree_guard():
     with pytest.raises(ValueError, match="out of range"):
         xh(point_space(), 4)
+
+
+def test_collecting_a_chain_not_constant_on_orbits_is_an_internal_error():
+    x = g_can_min(cyclic_group(2))
+    reps_index = {(0,): 0}
+    assert chains_module._collect_on_orbits(x, {(0,): 1, (1,): 1}, reps_index, QQ) == {0: 1}
+    with pytest.raises(InvariantError, match="constant on orbits fails in degree 0"):
+        chains_module._collect_on_orbits(x, {(0,): 1}, reps_index, QQ)

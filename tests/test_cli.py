@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import coarsehom.cli as cli_module
 import coarsehom.homology as homology_module
 from coarsehom.cli import main
+from coarsehom.linalg import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +160,17 @@ def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and "sign-convention" in err
+
+
+def test_internal_failure_of_the_dennis_trace_is_not_a_failed_check(monkeypatch, capsys):
+    def broken(ctx, m):
+        raise InvariantError("phi of the identity class = the dimension chain", 0)
+
+    monkeypatch.setattr(cli_module, "dennis_trace_k0", broken)
+    code, out, err = run_cli(capsys, "run", "@point", "--theory", "trace", "--max-degree", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and "dimension chain" in err
 
 
 def test_unknown_builtin(capsys):

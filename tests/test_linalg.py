@@ -338,3 +338,114 @@ def test_matrix_entry_rules():
     assert m.get(1, 1) == 1
     with pytest.raises(IndexError):
         m.set(2, 0, 1)
+
+
+def _q_true_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(2, 5))
+
+
+def _q_integral_fraction(rng):
+    return Fraction(rng.randint(-4, 4))
+
+
+def _small_int(rng):
+    return rng.randint(-9, 9)
+
+
+# (domain, entry drawer); each Q drawer stores a different input form
+KERNEL_CASES = [
+    (QQ, _q_true_fraction),
+    (QQ, _q_integral_fraction),
+    (QQ, _small_int),
+    (ZZ, _small_int),
+    (GF(2), _small_int),
+    (GF(3), _small_int),
+    (GF(97), _small_int),
+]
+
+
+def _sparse_random(rng, domain, draw, nrows, ncols):
+    m = Matrix(nrows, ncols, domain)
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.4:
+                m.set(i, j, draw(rng))
+    return m
+
+
+def _dense(m):
+    return [[Fraction(v) for v in row] for row in m.to_dense()]
+
+
+def _reduced(rows, domain):
+    """A dense Fraction matrix read in `domain` (only integral entries over F_p)."""
+    if domain.char:
+        return [[int(v) % domain.char for v in row] for row in rows]
+    return rows
+
+
+def _assert_canonical(values, domain):
+    for v in values:
+        assert v != 0, "zero stored"
+        if domain is QQ:
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+        else:
+            assert type(v) is int, v
+            if domain.char:
+                assert 0 <= v < domain.char
+
+
+@pytest.mark.parametrize("domain, draw", KERNEL_CASES,
+                         ids=["Q-fractions", "Q-integral-fractions", "Q-ints", "Z", "F2", "F3", "F97"])
+def test_matrix_kernel_matches_dense_fractions(domain, draw):
+    rng = random.Random(f"{domain.name} {draw.__name__}")
+    for _ in range(25):
+        n, k, m_ = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = _sparse_random(rng, domain, draw, n, k)
+        a2 = _sparse_random(rng, domain, draw, n, k)
+        b = _sparse_random(rng, domain, draw, k, m_)
+        c = draw(rng) if rng.random() < 0.8 else 0
+        vec = {j: draw(rng) for j in range(k) if rng.random() < 0.5}
+        da, da2, db = _dense(a), _dense(a2), _dense(b)
+
+        prod = a @ b
+        assert prod.to_dense() == _reduced(
+            [[sum((da[i][t] * db[t][j] for t in range(k)), Fraction(0)) for j in range(m_)]
+             for i in range(n)], domain)
+        total = a + a2
+        assert total.to_dense() == _reduced(
+            [[da[i][j] + da2[i][j] for j in range(k)] for i in range(n)], domain)
+        diff = a - a2
+        assert diff.to_dense() == _reduced(
+            [[da[i][j] - da2[i][j] for j in range(k)] for i in range(n)], domain)
+        scaled = a.scale(c)
+        assert scaled.to_dense() == _reduced(
+            [[Fraction(c) * da[i][j] for j in range(k)] for i in range(n)], domain)
+        image = a.mat_vec(vec)
+        ref = _reduced([[sum((da[i][t] * Fraction(vec.get(t, 0)) for t in range(k)), Fraction(0))]
+                        for i in range(n)], domain)
+        assert {i: row[0] for i, row in enumerate(ref) if row[0]} == image
+
+        for out in (prod, total, diff, scaled, a - a, a.scale(0)):
+            assert all(out._cols.values()), "empty column stored"
+            _assert_canonical([v for col in out._cols.values() for v in col.values()], domain)
+        _assert_canonical(image.values(), domain)
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+def test_rationals_are_canonical():
+    half = Fraction(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for value in (QQ.coerce(Fraction(4, 2)), QQ.add(half, half), QQ.mul(half, 2),
+                  QQ.div(4, 2), QQ.coerce(True)):
+        assert type(value) is int
+    assert QQ.div(1, 2) == half and type(QQ.div(1, 2)) is Fraction
+
+
+def test_module_docstring_examples():
+    import doctest
+
+    import coarsehom.linalg
+
+    result = doctest.testmod(coarsehom.linalg)
+    assert result.attempted > 0 and result.failed == 0

@@ -3,8 +3,8 @@ import pytest
 import coarsehom.chains as chains_module
 from coarsehom.chains import ControlledChain, boundary, pushforward_matrix
 from coarsehom.controlled import direct_sum, generator
-from coarsehom.groups import cyclic_group, trivial_group
-from coarsehom.linalg import GF, Matrix, QQ
+from coarsehom.groups import cyclic_group, named_group, trivial_group
+from coarsehom.linalg import GF, Matrix, QQ, kernel_basis, rank
 from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min, point_space
 from coarsehom.trace import (
     TraceContext,
@@ -138,6 +138,25 @@ def test_phi_intertwines_nerve_b_with_the_chain_level_operator(make):
         left = ctx.phi_matrix(n + 1) @ ctx.mixed.B(n)
         right = xc_connes_operator(ctx.space, n, ctx.domain) @ ctx.phi_matrix(n)
         assert left.to_dense() == right.to_dense()
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize(
+    "space",
+    [point_space(), g_can_min(cyclic_group(2)), g_can_min(cyclic_group(3)),
+     g_can_min(named_group("s3"))],
+    ids=["point", "z2", "z3", "s3"],
+)
+def test_chain_level_connes_operator_induces_zero_on_xh(space, domain):
+    """The true weaker form of phi . B = 0: B_chain sends every n-cycle to a
+    boundary, i.e. rank [d_(n+2) | B_chain K] = rank d_(n+2) for the cycle
+    basis K = ker d_n, n = 0..2."""
+    for n in range(3):
+        d_n = boundary(space, n, invariant=True, domain=domain)
+        d_up = boundary(space, n + 2, invariant=True, domain=domain)
+        cycles = Matrix.from_columns(kernel_basis(d_n), d_n.ncols, domain)
+        image = xc_connes_operator(space, n, domain) @ cycles
+        assert rank(Matrix.block([[d_up, image]], domain)) == rank(d_up)
 
 
 def test_chain_cyclic_operator_has_the_right_order():
