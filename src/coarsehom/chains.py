@@ -6,7 +6,17 @@ carriers).  The invariant complex uses one basis vector per G-orbit of
 tuples, equal to the sum of the orbit's indicator chains; this is a basis
 of the invariant chains over any coefficient ring, including Z.
 
-The boundary deletes coordinates with alternating signs.
+The degree-n basis is one value, `OrbitBasis`: the sorted least tuples of
+the orbits, with their index.  The least tuple of an orbit starts at the
+least point of x_0's orbit, so its representative is found from a per-point
+table of the elements that send x_0 there (one for a free action); the
+basis is enumerated from first points that are orbit minima, and plain
+tuples are never listed.  The plain complex is the same value with the
+identity as the only group element.  Every invariant chain map (boundary,
+pushforward, and the trace's t, front insertion and phi) is built by one
+method: sum a plain image over each source orbit and collect it on the
+target basis, checking that it is constant on orbits.
+
 `CoarseChainComplex` is a `linalg.Complex`: it enumerates each basis once,
 builds every boundary from those, and checks d^2 = 0 once.  Its homology
 over Z is reduce-then-SNF (betti plus torsion), and over a field a rank
@@ -86,63 +96,94 @@ class ControlledChain:
         return f"<ControlledChain degree={self.degree} support={len(self.coefficients)}>"
 
 
-def _plain_tuples(space, n, cap):
-    out = []
-    for tup in product(range(space.n), repeat=n + 1):
-        first = tup[0]
-        if all(space.related(first, x) for x in tup[1:]):
-            out.append(tup)
-            if len(out) > cap:
-                raise ValueError(f"more than {cap} controlled tuples in degree {n}")
-    return out
+class OrbitBasis(list):
+    """The degree-n basis: the sorted orbit representatives of controlled tuples.
 
+    Each representative is the least tuple of its orbit and stands for the
+    sum of the orbit's indicator chains.  With `invariant=False` the identity
+    is the only group element, so every orbit is a single tuple.  The least
+    tuple of an orbit starts at the least point of x_0's orbit, so `rep` tries
+    only the elements that send x_0 there (one for a free action).
+    """
 
-def _orbit_rep(space, tup):
-    return min(tuple(space.act(g, x) for x in tup) for g in range(len(space.group)))
+    def __init__(self, space, n, invariant=True, cap=DEFAULT_TUPLE_CAP):
+        super().__init__()
+        self.degree = n
+        self._rows = tuple(dict.fromkeys(map(tuple, space.action))) if invariant else (
+            tuple(range(space.n)),
+        )
+        least = [min(g[x] for g in self._rows) for x in range(space.n)]
+        self._lead = [[g for g in self._rows if g[x] == least[x]] for x in range(space.n)]
+        for component in space.components():
+            for first in component:
+                if least[first] != first:
+                    continue
+                for tail in product(component, repeat=n):
+                    tup = (first,) + tail
+                    if self.rep(tup) == tup:
+                        self.append(tup)
+                        if len(self) > cap:
+                            raise ValueError(f"more than {cap} basis tuples in degree {n}")
+        self.sort()
+        self.index = {t: i for i, t in enumerate(self)}
 
+    def rep(self, tup):
+        """The least tuple of tup's orbit."""
+        return min(tuple(map(g.__getitem__, tup)) for g in self._lead[tup[0]])
 
-def _tuple_orbit(space, tup):
-    return {tuple(space.act(g, x) for x in tup) for g in range(len(space.group))}
+    def orbit(self, tup):
+        return {tuple(map(g.__getitem__, tup)) for g in self._rows}
+
+    def collect(self, plain, domain):
+        """Rewrite an invariant plain chain in orbit-sum coordinates."""
+        col = {}
+        seen = set()
+        for tup in plain:
+            rep = self.rep(tup)
+            if rep in seen:
+                continue
+            seen.add(rep)
+            vals = {plain.get(member, domain.zero) for member in self.orbit(rep)}
+            if len(vals) != 1:
+                raise InvariantError("an invariant chain is constant on orbits", len(rep) - 1)
+            v = vals.pop()
+            if v != domain.zero:
+                col[self.index[rep]] = v
+        return col
+
+    def matrix(self, target, image, domain):
+        """The map sending each orbit sum to the sum of `image` over its members.
+
+        `image(member)` gives plain coefficients; each column is collected on
+        the target basis.
+        """
+        cols = []
+        for rep in self:
+            plain = {}
+            for member in self.orbit(rep):
+                for tup, val in image(member).items():
+                    w = domain.add(plain.get(tup, domain.zero), val)
+                    if w == domain.zero:
+                        plain.pop(tup, None)
+                    else:
+                        plain[tup] = w
+            cols.append(target.collect(plain, domain))
+        return Matrix.from_columns(cols, len(target), domain)
 
 
 def controlled_tuple_basis(space, n, invariant=True, cap=DEFAULT_TUPLE_CAP):
-    """Ordered degree-n basis: plain tuples, or orbit representatives.
+    """Ordered degree-n basis of orbit representatives (plain tuples if not invariant).
 
-    In the invariant case each representative stands for the sum of its
-    orbit's indicator chains.
+    The cap bounds the number of representatives.
     """
-    plain = _plain_tuples(space, n, cap)
-    if not invariant:
-        return plain
-    reps = sorted({_orbit_rep(space, tup) for tup in plain})
-    return reps
+    return OrbitBasis(space, n, invariant, cap)
 
 
 def basis_chain(space, tup, domain, invariant=True):
     """The chain a basis element stands for (orbit sum when invariant)."""
-    if invariant:
-        coeffs = {t: domain.one for t in _tuple_orbit(space, tup)}
-    else:
-        coeffs = {tuple(tup): domain.one}
-    return ControlledChain(space, len(tup) - 1, coeffs, domain, check=False)
-
-
-def _collect_on_orbits(space, plain_coeffs, reps_index, domain):
-    """Rewrite an invariant plain chain in orbit-sum coordinates."""
-    col = {}
-    seen = set()
-    for tup in plain_coeffs:
-        rep = _orbit_rep(space, tup)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        vals = {plain_coeffs.get(member, domain.zero) for member in _tuple_orbit(space, rep)}
-        if len(vals) != 1:
-            raise InvariantError("an invariant chain is constant on orbits", len(rep) - 1)
-        v = vals.pop()
-        if v != domain.zero:
-            col[reps_index[rep]] = v
-    return col
+    orbit = controlled_tuple_basis(space, len(tup) - 1, invariant).orbit(tuple(tup))
+    return ControlledChain(space, len(tup) - 1, dict.fromkeys(orbit, domain.one), domain,
+                           check=False)
 
 
 def _boundary_of_tuple(tup, domain):
@@ -161,35 +202,18 @@ def _boundary_of_tuple(tup, domain):
     return out
 
 
-def _boundary_on(space, n, basis_n, basis_prev, invariant, domain):
+def _boundary_on(n, basis_n, basis_prev, domain):
     """Boundary matrix from degree n to n - 1 on bases already enumerated."""
     if n == 0:
         return Matrix(0, len(basis_n), domain)
-    index_prev = {t: i for i, t in enumerate(basis_prev)}
-    cols = []
-    for tup in basis_n:
-        if invariant:
-            plain = {}
-            for member in _tuple_orbit(space, tup):
-                for face, val in _boundary_of_tuple(member, domain).items():
-                    w = domain.add(plain.get(face, domain.zero), val)
-                    if w == domain.zero:
-                        plain.pop(face, None)
-                    else:
-                        plain[face] = w
-            cols.append(_collect_on_orbits(space, plain, index_prev, domain))
-        else:
-            cols.append(
-                {index_prev[f]: v for f, v in _boundary_of_tuple(tup, domain).items()}
-            )
-    return Matrix.from_columns(cols, len(basis_prev), domain)
+    return basis_n.matrix(basis_prev, lambda tup: _boundary_of_tuple(tup, domain), domain)
 
 
 def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
     """Matrix of the alternating face sum from degree n to degree n - 1."""
     basis_n = controlled_tuple_basis(space, n, invariant, cap)
     basis_prev = controlled_tuple_basis(space, n - 1, invariant, cap) if n else []
-    return _boundary_on(space, n, basis_n, basis_prev, invariant, domain)
+    return _boundary_on(n, basis_n, basis_prev, domain)
 
 
 def boundary_of_chain(c):
@@ -220,8 +244,7 @@ class CoarseChainComplex(Complex):
         ]
         super().__init__(
             [
-                _boundary_on(space, n, self.bases[n], self.bases[n - 1] if n else [],
-                             invariant, domain)
+                _boundary_on(n, self.bases[n], self.bases[n - 1] if n else [], domain)
                 for n in range(max_degree + 1)
             ],
             "coarse chain complex",
@@ -262,19 +285,4 @@ def pushforward_matrix(f, n, domain=ZZ, invariant=True, cap=DEFAULT_TUPLE_CAP):
         raise ValueError(f"chain pushforward needs a valid morphism: {rep.violations}")
     src = controlled_tuple_basis(f.source, n, invariant, cap)
     tgt = controlled_tuple_basis(f.target, n, invariant, cap)
-    index = {t: i for i, t in enumerate(tgt)}
-    cols = []
-    for tup in src:
-        if invariant:
-            plain = {}
-            for member in _tuple_orbit(f.source, tup):
-                target = tuple(f(x) for x in member)
-                w = domain.add(plain.get(target, domain.zero), domain.one)
-                if w == domain.zero:
-                    plain.pop(target, None)
-                else:
-                    plain[target] = w
-            cols.append(_collect_on_orbits(f.target, plain, index, domain))
-        else:
-            cols.append({index[tuple(f(x) for x in tup)]: domain.one})
-    return Matrix.from_columns(cols, len(tgt), domain)
+    return src.matrix(tgt, lambda tup: {tuple(map(f, tup)): domain.one}, domain)

@@ -202,16 +202,18 @@ def _front_insert_matrix(data, n, basis_n, index_next, nrows):
 
 
 class CyclicModule:
-    """Face, degeneracy, and cyclic matrices of a cyclic k-module, degrees <= N."""
+    """Face, degeneracy, and cyclic matrices of a cyclic k-module, degrees <= N.
 
-    def __init__(self, max_degree, domain, dims, basis, index, faces, degens, cyc, data=None):
+    Faces and t are built once; a degeneracy is built from `data` on call.
+    """
+
+    def __init__(self, max_degree, domain, dims, basis, index, faces, cyc, data):
         self.max_degree = max_degree
         self.domain = domain
         self.dims = dims
         self.basis = basis
         self.index = index
         self._faces = faces
-        self._degens = degens
         self._cyc = cyc
         self.data = data
 
@@ -223,7 +225,8 @@ class CyclicModule:
     def degeneracy(self, n, i):
         if not (0 <= n < self.max_degree and 0 <= i <= n):
             raise ValueError(f"degeneracy s_{i} undefined in degree {n}")
-        return self._degens[n][i]
+        return _degeneracy_matrix(self.data, n, i, self.basis[n], self.index[n + 1],
+                                  self.dims[n + 1])
 
     def cyclic(self, n):
         if not (0 <= n <= self.max_degree):
@@ -271,13 +274,8 @@ def _build(data, max_degree, cap):
         faces.append(
             [_face_matrix(data, n, i, basis[n], index[n - 1], dims[n - 1]) for i in range(n + 1)]
         )
-    degens = []
-    for n in range(max_degree):
-        degens.append(
-            [_degeneracy_matrix(data, n, i, basis[n], index[n + 1], dims[n + 1]) for i in range(n + 1)]
-        )
     cyc = [_cyclic_matrix(data, n, basis[n], index[n]) for n in range(max_degree + 1)]
-    mod = CyclicModule(max_degree, data.domain, dims, basis, index, faces, degens, cyc, data=data)
+    mod = CyclicModule(max_degree, data.domain, dims, basis, index, faces, cyc, data)
     mod.check_identities()
     return mod
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .chains import (
-    ControlledChain,
-    _boundary_on,
-    _collect_on_orbits,
-    _tuple_orbit,
-    controlled_tuple_basis,
-)
+from .chains import ControlledChain, _boundary_on, controlled_tuple_basis
 from .controlled import (
     ControlledMorphism,
     orbit_objects,
@@ -63,7 +57,6 @@ class TraceContext:
         self.chain_bases = [
             controlled_tuple_basis(space, n, invariant=True) for n in range(max_degree + 1)
         ]
-        self.chain_index = [{t: i for i, t in enumerate(b)} for b in self.chain_bases]
         self._phi_cols = [None] * (max_degree + 1)
 
     # -- phi ---------------------------------------------------------------
@@ -122,14 +115,10 @@ class TraceContext:
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"phi undefined in degree {n}")
         if self._phi_cols[n] is None:
-            index = self.chain_index[n]
-            cols = []
-            for key in self.nerve.basis[n]:
-                plain = self._phi_of_basis(n, key)
-                cols.append(_collect_on_orbits(self.space, plain, index, self.domain))
-            self._phi_cols[n] = Matrix.from_columns(
-                cols, len(self.chain_bases[n]), self.domain
-            )
+            basis = self.chain_bases[n]
+            cols = [basis.collect(self._phi_of_basis(n, key), self.domain)
+                    for key in self.nerve.basis[n]]
+            self._phi_cols[n] = Matrix.from_columns(cols, len(basis), self.domain)
         return self._phi_cols[n]
 
     def phi(self, n, vector):
@@ -153,8 +142,7 @@ class TraceContext:
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"boundary undefined in degree {n}")
         bases = self.chain_bases
-        return _boundary_on(self.space, n, bases[n], bases[n - 1] if n else [], True,
-                            self.domain)
+        return _boundary_on(n, bases[n], bases[n - 1] if n else [], self.domain)
 
     # -- the point section ---------------------------------------------------
 
@@ -209,55 +197,35 @@ def dennis_trace_k0(ctx, m):
 # -- chain-level cyclic structure -------------------------------------------
 
 
+def _xc_rotation(basis, domain):
+    """`xc_cyclic_operator` on a basis already enumerated."""
+    sign = domain.one if basis.degree % 2 == 0 else domain.neg(domain.one)
+    return basis.matrix(basis, lambda tup: {(tup[-1],) + tup[:-1]: sign}, domain)
+
+
 def xc_cyclic_operator(space, n, domain, invariant=True):
     """Signed rotation (x_0..x_n) -> (-1)^n (x_n, x_0, ..., x_{n-1})."""
-    basis = controlled_tuple_basis(space, n, invariant)
-    index = {t: i for i, t in enumerate(basis)}
-    sign = domain.one if n % 2 == 0 else domain.neg(domain.one)
-    cols = []
-    for tup in basis:
-        if invariant:
-            plain = {}
-            for member in _tuple_orbit(space, tup):
-                rot = (member[-1],) + member[:-1]
-                plain[rot] = domain.add(plain.get(rot, domain.zero), sign)
-            cols.append(_collect_on_orbits(space, plain, index, domain))
-        else:
-            rot = (tup[-1],) + tup[:-1]
-            cols.append({index[rot]: sign})
-    return Matrix.from_columns(cols, len(basis), domain)
+    return _xc_rotation(controlled_tuple_basis(space, n, invariant), domain)
 
 
-def _xc_front_insert(space, n, domain, invariant=True):
+def _xc_front_insert(basis, basis_up, domain):
     """(x_0..x_n) -> (x_n, x_0, ..., x_n): what phi makes of the extra degeneracy."""
-    basis = controlled_tuple_basis(space, n, invariant)
-    basis_up = controlled_tuple_basis(space, n + 1, invariant)
-    index_up = {t: i for i, t in enumerate(basis_up)}
-    cols = []
-    for tup in basis:
-        if invariant:
-            plain = {}
-            for member in _tuple_orbit(space, tup):
-                ins = (member[-1],) + member
-                plain[ins] = domain.add(plain.get(ins, domain.zero), domain.one)
-            cols.append(_collect_on_orbits(space, plain, index_up, domain))
-        else:
-            cols.append({index_up[(tup[-1],) + tup]: domain.one})
-    return Matrix.from_columns(cols, len(basis_up), domain)
+    return basis.matrix(basis_up, lambda tup: {(tup[-1],) + tup: domain.one}, domain)
 
 
 def xc_connes_operator(space, n, domain, invariant=True):
     """The chain-level (1 - t) s N operator matching the nerve's B under phi."""
-    t_n = xc_cyclic_operator(space, n, domain, invariant)
+    basis = controlled_tuple_basis(space, n, invariant)
+    basis_up = controlled_tuple_basis(space, n + 1, invariant)
+    t_n = _xc_rotation(basis, domain)
     dim_n = t_n.ncols
     norm = Matrix.identity(dim_n, domain)
     power = Matrix.identity(dim_n, domain)
     for _ in range(n):
         power = power @ t_n
         norm = norm + power
-    front = _xc_front_insert(space, n, domain, invariant)
-    t_up = xc_cyclic_operator(space, n + 1, domain, invariant)
-    one_minus = Matrix.identity(t_up.nrows, domain) - t_up
+    front = _xc_front_insert(basis, basis_up, domain)
+    one_minus = Matrix.identity(len(basis_up), domain) - _xc_rotation(basis_up, domain)
     return one_minus @ front @ norm
 
 

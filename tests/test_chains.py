@@ -1,6 +1,7 @@
 """Controlled tuple bases, boundaries, coarse homology, pushforwards."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,16 @@ from coarsehom.chains import (
     pushforward_matrix,
     xh,
 )
-from coarsehom.groups import cyclic_group, trivial_group
+from coarsehom.groups import (
+    cyclic_group,
+    named_group,
+    named_subgroup,
+    symmetric_group,
+    trivial_group,
+)
 from coarsehom.homology import ordinary_profile
 from coarsehom.linalg import GF, QQ, ZZ, Complex, InvariantError, Matrix
-from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min, point_space
+from coarsehom.spaces import GBornCoarseSpace, SpaceMap, coset_space, g_can_min, point_space
 
 
 def single_component(k):
@@ -246,7 +253,63 @@ def test_degree_guard():
 
 def test_collecting_a_chain_not_constant_on_orbits_is_an_internal_error():
     x = g_can_min(cyclic_group(2))
-    reps_index = {(0,): 0}
-    assert chains_module._collect_on_orbits(x, {(0,): 1, (1,): 1}, reps_index, QQ) == {0: 1}
+    basis = controlled_tuple_basis(x, 0)
+    assert basis == [(0,)]
+    assert basis.collect({(0,): 1, (1,): 1}, QQ) == {0: 1}
     with pytest.raises(InvariantError, match="constant on orbits fails in degree 0"):
-        chains_module._collect_on_orbits(x, {(0,): 1}, reps_index, QQ)
+        basis.collect({(0,): 1}, QQ)
+
+
+def _joined(x):
+    """The same G-set with every pair of points related."""
+    return GBornCoarseSpace(x.points, [(0, y) for y in range(1, x.n)], x.group, x.action)
+
+
+def _brute_force_basis(space, n, invariant):
+    """sorted({min over all g of g.t}) over the plain controlled tuples."""
+    group = range(len(space.group)) if invariant else [None]
+    reps = set()
+    for tup in product(range(space.n), repeat=n + 1):
+        if all(space.related(tup[0], x) for x in tup):
+            reps.add(min(tup if g is None else tuple(space.act(g, x) for x in tup)
+                         for g in group))
+    return sorted(reps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g_can_min(symmetric_group(3)),
+    lambda: coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z3")),
+    lambda: coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z2")),
+    lambda: GBornCoarseSpace(["p", "q", "r"], [], cyclic_group(2), [[0, 1, 2], [1, 0, 2]]),
+    # one component, so a stabilizer moves the later coordinates
+    lambda: GBornCoarseSpace(["p", "q", "r"], [(0, 2)], cyclic_group(2), [[0, 1, 2], [1, 0, 2]]),
+    lambda: _joined(coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z2"))),
+], ids=["s3", "s3/z3", "s3/z2", "swap", "swap-joined", "s3/z2-joined"])
+@pytest.mark.parametrize("invariant", [True, False])
+def test_orbit_basis_matches_brute_force(make, invariant):
+    space = make()
+    for n in range(4):
+        basis = controlled_tuple_basis(space, n, invariant)
+        assert basis == _brute_force_basis(space, n, invariant)
+        assert all(basis.index[t] == i for i, t in enumerate(basis))
+        for t in product(range(space.n), repeat=n + 1):
+            if all(space.related(t[0], x) for x in t):
+                assert basis.rep(t) in basis.index and t in basis.orbit(basis.rep(t))
+
+
+def test_cap_bounds_the_representatives():
+    # degree 3 of s3 has 6^4 = 1296 plain tuples but 216 orbit representatives
+    s3 = g_can_min(symmetric_group(3))
+    assert len(controlled_tuple_basis(s3, 3, invariant=False)) == 1296
+    cx = CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=300)
+    assert len(cx.bases[3]) == 216
+    assert [(h.betti, h.torsion) for h in (cx.homology(n) for n in range(3))] == [
+        (1, ()), (0, (2,)), (0, ()),
+    ]
+    built = []
+    real = Matrix.from_columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "from_columns", lambda *a, **k: built.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="more than 200"):
+            CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=200)
+    assert built == []
