@@ -55,39 +55,20 @@ def _iterated_cone(stages, maps, max_degree, domain):
     compose to zero on the nose.  Returns the total complex.
     """
     ns = len(stages)
-    dims = [[stages[s][n].ncols for n in range(max_degree + 1)] for s in range(ns)]
-    tot_dims = []
-    offsets = []
-    for n in range(max_degree + 1):
-        offs = []
-        run = 0
-        for s in range(ns):
-            offs.append(run)
-            if n - s >= 0:
-                run += dims[s][n - s]
-        offsets.append(offs)
-        tot_dims.append(run)
-    out = [Matrix.zeros(0, tot_dims[0], domain)]
     minus = domain.neg(domain.one)
+    out = [Matrix.zeros(0, stages[0][0].ncols, domain)]
     for n in range(1, max_degree + 1):
-        m = Matrix.zeros(tot_dims[n - 1], tot_dims[n], domain)
-        for s in range(ns):
+        # block s of degree n is C^s_(n-s): every block row holds a boundary
+        # and every block column a boundary or a map, so all sizes are fixed
+        cols = min(n, ns - 1) + 1
+        grid = [[None] * cols for _ in range(min(n - 1, ns - 1) + 1)]
+        for s in range(cols):
             k = n - s
-            if k < 0:
-                continue
-            sign = domain.one if s % 2 == 0 else minus
             if k >= 1:
-                d = stages[s][k]
-                for c in range(d.ncols):
-                    for r, v in d.column(c).items():
-                        m.add_at(offsets[n - 1][s] + r, offsets[n][s] + c,
-                                 domain.mul(sign, v))
-            if s + 1 < ns and k - 1 >= 0:
-                u = maps[s][k - 1]
-                for c in range(u.ncols):
-                    for r, v in u.column(c).items():
-                        m.add_at(offsets[n - 1][s] + r, offsets[n][s + 1] + c, v)
-        out.append(m)
+                grid[s][s] = stages[s][k] if s % 2 == 0 else stages[s][k].scale(minus)
+            if s >= 1:
+                grid[s - 1][s] = maps[s - 1][k]
+        out.append(Matrix.block(grid, domain))
     return Complex(out, "iterated cone")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import ZZ, Complex, InvariantError, Matrix, homology_at
+from .linalg import ZZ, Complex, InvariantError, Matrix, finished, homology_at
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
@@ -65,20 +65,17 @@ class ControlledChain:
         return True
 
     def __add__(self, other):
-        if self.space is not other.space or self.degree != other.degree:
-            raise ValueError("chain sum needs matching space and degree")
+        if (self.space is not other.space or self.degree != other.degree
+                or self.domain is not other.domain):
+            raise ValueError("chain sum needs matching space, degree and domain")
         out = dict(self.coefficients)
         for tup, val in other.coefficients.items():
-            w = self.domain.add(out.get(tup, self.domain.zero), val)
-            if w == self.domain.zero:
-                out.pop(tup, None)
-            else:
-                out[tup] = w
+            out[tup] = out.get(tup, 0) + val
         return ControlledChain(self.space, self.degree, out, self.domain, check=False)
 
     def scale(self, c):
         c = self.domain.coerce(c)
-        out = {t: self.domain.mul(c, v) for t, v in self.coefficients.items()}
+        out = {t: c * v for t, v in self.coefficients.items()}
         return ControlledChain(self.space, self.degree, out, self.domain, check=False)
 
     def is_zero(self):
@@ -154,20 +151,16 @@ class OrbitBasis(list):
     def matrix(self, target, image, domain):
         """The map sending each orbit sum to the sum of `image` over its members.
 
-        `image(member)` gives plain coefficients; each column is collected on
-        the target basis.
+        `image(member)` gives plain coefficients, summed with + and then
+        `finished`; each column is collected on the target basis.
         """
         cols = []
         for rep in self:
             plain = {}
             for member in self.orbit(rep):
                 for tup, val in image(member).items():
-                    w = domain.add(plain.get(tup, domain.zero), val)
-                    if w == domain.zero:
-                        plain.pop(tup, None)
-                    else:
-                        plain[tup] = w
-            cols.append(target.collect(plain, domain))
+                    plain[tup] = plain.get(tup, 0) + val
+            cols.append(target.collect(finished(plain, domain), domain))
         return Matrix.from_columns(cols, len(target), domain)
 
 
@@ -186,19 +179,13 @@ def basis_chain(space, tup, domain, invariant=True):
                            check=False)
 
 
-def _boundary_of_tuple(tup, domain):
-    """Plain boundary coefficients of one indicator chain."""
+def _boundary_of_tuple(tup):
+    """Plain integer boundary coefficients of one indicator chain, with the
+    zeros of degenerate tuples kept; callers finish them in their domain."""
     out = {}
-    sign_pos = True
     for i in range(len(tup)):
         face = tup[:i] + tup[i + 1 :]
-        delta = domain.one if sign_pos else domain.neg(domain.one)
-        w = domain.add(out.get(face, domain.zero), delta)
-        if w == domain.zero:
-            out.pop(face, None)
-        else:
-            out[face] = w
-        sign_pos = not sign_pos
+        out[face] = out.get(face, 0) + (-1) ** i
     return out
 
 
@@ -206,7 +193,7 @@ def _boundary_on(n, basis_n, basis_prev, domain):
     """Boundary matrix from degree n to n - 1 on bases already enumerated."""
     if n == 0:
         return Matrix(0, len(basis_n), domain)
-    return basis_n.matrix(basis_prev, lambda tup: _boundary_of_tuple(tup, domain), domain)
+    return basis_n.matrix(basis_prev, _boundary_of_tuple, domain)
 
 
 def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
@@ -220,16 +207,11 @@ def boundary_of_chain(c):
     """The boundary of a chain, degree n >= 1."""
     if c.degree == 0:
         raise ValueError("no boundary below degree 0")
-    dom = c.domain
     out = {}
     for tup, val in c.coefficients.items():
-        for face, delta in _boundary_of_tuple(tup, dom).items():
-            w = dom.add(out.get(face, dom.zero), dom.mul(val, delta))
-            if w == dom.zero:
-                out.pop(face, None)
-            else:
-                out[face] = w
-    return ControlledChain(c.space, c.degree - 1, out, dom, check=False)
+        for face, delta in _boundary_of_tuple(tup).items():
+            out[face] = out.get(face, 0) + val * delta
+    return ControlledChain(c.space, c.degree - 1, out, c.domain, check=False)
 
 
 class CoarseChainComplex(Complex):
@@ -256,8 +238,10 @@ def xh(space, n, domain=ZZ, invariant=True, max_degree=DEFAULT_MAX_DEGREE,
     """Coarse ordinary homology at degree n (Z by default, or a field)."""
     if not (0 <= n <= max_degree - 1):
         raise ValueError(f"degree {n} out of range (need n + 1 <= {max_degree})")
-    d_out = boundary(space, n, invariant, domain, cap)
-    d_in = boundary(space, n + 1, invariant, domain, cap)
+    prev, basis, up = (controlled_tuple_basis(space, k, invariant, cap) if k >= 0 else []
+                       for k in (n - 1, n, n + 1))
+    d_out = _boundary_on(n, basis, prev, domain)
+    d_in = _boundary_on(n + 1, up, basis, domain)
     return homology_at(d_out, d_in, degree=n)
 
 
@@ -266,16 +250,11 @@ def chain_pushforward(f, c):
     rep = is_morphism(f)
     if not rep.ok:
         raise ValueError(f"chain pushforward needs a valid morphism: {rep.violations}")
-    dom = c.domain
     out = {}
     for tup, val in c.coefficients.items():
         target = tuple(f(x) for x in tup)
-        w = dom.add(out.get(target, dom.zero), val)
-        if w == dom.zero:
-            out.pop(target, None)
-        else:
-            out[target] = w
-    return ControlledChain(f.target, c.degree, out, dom, check=False)
+        out[target] = out.get(target, 0) + val
+    return ControlledChain(f.target, c.degree, out, c.domain, check=False)
 
 
 def pushforward_matrix(f, n, domain=ZZ, invariant=True, cap=DEFAULT_TUPLE_CAP):

@@ -12,7 +12,7 @@ are sparse exact matrices from the linalg module.
 
 from __future__ import annotations
 
-from .linalg import Matrix, kernel_data, rank
+from .linalg import Matrix, finished, kernel_data, rank
 from .spaces import is_morphism
 
 
@@ -127,13 +127,8 @@ def direct_sum(a, b):
         row = []
         for x in range(a.space.n):
             tx = a.space.act(ginv, x)
-            blk = Matrix(dims[tx], dims[x], a.domain)
-            ra, rb = a.rho_block(g, x), b.rho_block(g, x)
-            for i, j, v in ra.entries():
-                blk.set(i, j, v)
-            for i, j, v in rb.entries():
-                blk.set(a.dims[tx] + i, a.dims[x] + j, v)
-            row.append(blk)
+            row.append(Matrix.block([[a.rho_block(g, x), None], [None, b.rho_block(g, x)]],
+                                    a.domain))
         rho.append(row)
     return ControlledObject(a.space, dims, rho, a.domain, check=False)
 
@@ -330,22 +325,15 @@ class HomSpace:
                         for c in range(m.dims[x]):
                             row = {}
                             for s in range(mp.dims[y]):
-                                coef = rho_tgt.get(r, s)
-                                if coef != dom.zero:
-                                    idx = self.cell_index[(x, y, s, c)]
-                                    row[idx] = dom.add(row.get(idx, dom.zero), coef)
+                                idx = self.cell_index[(x, y, s, c)]
+                                row[idx] = row.get(idx, 0) + rho_tgt.get(r, s)
                             for t in range(m.dims[gx]):
-                                coef = rho_src.get(t, c)
-                                if coef != dom.zero:
-                                    idx = self.cell_index[(gx, gy, r, t)]
-                                    row[idx] = dom.add(row.get(idx, dom.zero), dom.neg(coef))
-                            row = {k: v for k, v in row.items() if v != dom.zero}
+                                idx = self.cell_index[(gx, gy, r, t)]
+                                row[idx] = row.get(idx, 0) - rho_src.get(t, c)
+                            row = finished(row, dom)
                             if row:
                                 rows.append(row)
-        constraints = Matrix(len(rows), ncells, dom)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                constraints.set(i, j, v)
+        constraints = Matrix.from_columns(rows, ncells, dom).transpose()
         if ncells:
             self._kernel, self.free_cells = kernel_data(constraints)
         else:
@@ -369,12 +357,8 @@ class HomSpace:
         recon = {}
         for i, c in coords.items():
             for k, v in self._kernel[i].items():
-                w = dom.add(recon.get(k, dom.zero), dom.mul(c, v))
-                if w == dom.zero:
-                    recon.pop(k, None)
-                else:
-                    recon[k] = w
-        if recon != vec:
+                recon[k] = recon.get(k, 0) + c * v
+        if finished(recon, dom) != vec:
             raise ValueError("morphism is not in the span of the hom basis")
         return coords
 
@@ -401,22 +385,14 @@ class FiniteAlgebra:
             self._validate()
 
     def multiply(self, u, v):
-        dom = self.domain
         out = {}
         for i, a in u.items():
             row = self.struct[i]
             for j, b in v.items():
-                prod = row[j]
-                if not prod:
-                    continue
-                coef = dom.mul(a, b)
-                for k, c in prod.items():
-                    w = dom.add(out.get(k, dom.zero), dom.mul(coef, c))
-                    if w == dom.zero:
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return out
+                ab = a * b
+                for k, c in row[j].items():
+                    out[k] = out.get(k, 0) + ab * c
+        return finished(out, self.domain)
 
     def _validate(self):
         n = self.dimension
@@ -500,7 +476,7 @@ def pushforward_morphism(f, a, pushed_source=None, pushed_target=None):
         r0 = off_tgt[yp][xp]
         c0 = off_src[y][x]
         for i, j, v in mat.entries():
-            blk.add_at(r0 + i, c0 + j, v)
+            blk.set(r0 + i, c0 + j, v)
     return ControlledMorphism(src, tgt, blocks, check=False)
 
 
@@ -545,22 +521,10 @@ def is_invertible(a):
     """Invertibility of a controlled morphism via the full matrix rank."""
     if a.source.total_dim != a.target.total_dim:
         return False
-    n = a.source.total_dim
-    src_off = []
-    acc = 0
-    for d in a.source.dims:
-        src_off.append(acc)
-        acc += d
-    tgt_off = []
-    acc = 0
-    for d in a.target.dims:
-        tgt_off.append(acc)
-        acc += d
-    big = Matrix(n, n, a.source.domain)
-    for (x, y), mat in a.blocks.items():
-        for i, j, v in mat.entries():
-            big.set(tgt_off[y] + i, src_off[x] + j, v)
-    return rank(big) == n
+    # the diagonal blocks, zero or not, fix every block height and width
+    points = range(a.source.space.n)
+    grid = [[a.block(x, y) if x == y else a.blocks.get((x, y)) for x in points] for y in points]
+    return rank(Matrix.block(grid, a.source.domain)) == a.source.total_dim
 
 
 def require_nerve_admissible(space, domain):

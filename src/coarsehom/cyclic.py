@@ -373,41 +373,25 @@ def to_mixed(module, extra_outer_sign=False):
 
 
 class TotComplex(Complex):
-    """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ..."""
+    """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ...
+
+    d_n is a block grid whose block j is C_(n-2j): b maps block j of
+    Tot_n to block j of Tot_(n-1), and B maps it to block j - 1.
+    """
 
     def __init__(self, mixed):
         N = mixed.max_degree
         dom = mixed.domain
-        dims = []
-        self.offsets = []
-        for n in range(N + 1):
-            offs = []
-            total = 0
-            k = n
-            while k >= 0:
-                offs.append(total)
-                total += mixed.dims[k]
-                k -= 2
-            dims.append(total)
-            self.offsets.append(offs)
-        d = [Matrix(0, dims[0], dom)]
+        d = [Matrix(0, mixed.dims[0], dom)]
         for n in range(1, N + 1):
-            mat = Matrix(dims[n - 1], dims[n], dom)
-            for j, off_in in enumerate(self.offsets[n]):
+            grid = [[None] * (n // 2 + 1) for _ in range((n - 1) // 2 + 1)]
+            for j in range(n // 2 + 1):
                 deg = n - 2 * j
                 if deg >= 1:
-                    blk = mixed.b(deg)
-                    off_out = self.offsets[n - 1][j]
-                    for r, c, v in blk.entries():
-                        mat.set(off_out + r, off_in + c, v)
-            for j, off_in in enumerate(self.offsets[n]):
-                deg = n - 2 * j
-                if deg <= n - 2:
-                    blk = mixed.B(deg)
-                    off_out = self.offsets[n - 1][j - 1]
-                    for r, c, v in blk.entries():
-                        mat.set(off_out + r, off_in + c, v)
-            d.append(mat)
+                    grid[j][j] = mixed.b(deg)
+                if j >= 1:
+                    grid[j - 1][j] = mixed.B(deg)
+            d.append(Matrix.block(grid, dom))
         super().__init__(d, "total complex")
 
 

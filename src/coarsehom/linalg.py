@@ -28,9 +28,13 @@ residual: `rank` finishes it with fraction-free elimination, and
 (reduce-then-SNF).  The transform-tracking Smith form runs the Euclid loop
 on the whole matrix.
 
-`Matrix` products, sums and scalings accumulate each output column with
-plain + and *, which act alike on int and Fraction, and finish the column
-once: reduce mod p, make integral rationals ints, and drop zeros.
+This module is the one place that sums exact coefficients and lays out
+blocks.  A sparse sum anywhere in the package (a `Matrix` column, a chain,
+a trace, a hom-space constraint) is accumulated with plain + and *, which
+act alike on int and Fraction, and handed to `finished` once: reduce mod p,
+make integral rationals ints, and drop zeros.  Block matrices (the total
+complex of a mixed complex, iterated mapping cones) are laid out by
+`Matrix.block`, never by hand-written offsets.
 
 `kernel_basis` uses fraction-free elimination in column order, with
 content normalization so entries stay small; its reduced echelon form is
@@ -47,6 +51,30 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+
+def finished(vec, domain):
+    """A sparse vector {key: value} summed with plain + and *, in canonical
+    form over `domain`: reduced mod p over F_p, integral rationals made ints
+    over Q, zeros dropped.  `vec` is finished in place and returned, or
+    copied when it holds a zero.
+
+        >>> finished({0: 4, 1: 3, 2: 1}, GF(3))
+        {0: 1, 2: 1}
+        >>> finished({0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0)}, QQ)
+        {0: 2, 1: Fraction(1, 2)}
+    """
+    p = domain.char
+    if p:
+        for i, v in vec.items():
+            vec[i] = v % p
+    elif domain is QQ:
+        for i, v in vec.items():
+            if type(v) is Fraction and v.denominator == 1:
+                vec[i] = v.numerator
+    if 0 in vec.values():
+        vec = {i: v for i, v in vec.items() if v}
+    return vec
 
 
 def _canonical_q(v):
@@ -366,22 +394,11 @@ class Matrix:
 
     def _finished(self, nrows, ncols, cols):
         """A new matrix over this domain from raw columns {col: {row: value}}
-        summed with plain + and *.  Each column is finished once, in place:
-        reduced mod p over F_p, integral rationals made ints over Q, zeros
-        dropped."""
-        p = self.domain.char
-        rational = self.domain is QQ
-        out = Matrix(nrows, ncols, self.domain)
+        summed with plain + and *, each column `finished` once."""
+        dom = self.domain
+        out = Matrix(nrows, ncols, dom)
         for j, col in cols.items():
-            if p:
-                for i, v in col.items():
-                    col[i] = v % p
-            elif rational:
-                for i, v in col.items():
-                    if type(v) is Fraction and v.denominator == 1:
-                        col[i] = v.numerator
-            if 0 in col.values():
-                col = {i: v for i, v in col.items() if v}
+            col = finished(col, dom)
             if col:
                 out._cols[j] = col
         return out

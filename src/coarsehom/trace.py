@@ -22,6 +22,7 @@ with zero B does not exist; the honest statement is the intertwining one.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .chains import ControlledChain, _boundary_on, controlled_tuple_basis
 from .controlled import (
@@ -31,15 +32,12 @@ from .controlled import (
     require_nerve_admissible,
 )
 from .cyclic import DEFAULT_BASIS_CAP, DEFAULT_MAX_DEGREE, additive_cyclic_nerve, to_mixed
-from .linalg import QQ, InvariantError, Matrix
+from .linalg import QQ, InvariantError, Matrix, finished
 
 
-def _trace_of(mat, dom):
-    out = dom.zero
-    for i, j, v in mat.entries():
-        if i == j:
-            out = dom.add(out, v)
-    return out
+def _trace_of(mat):
+    """The plain sum of the diagonal of a square block."""
+    return sum(mat.get(i, i) for i in range(mat.nrows))
 
 
 class TraceContext:
@@ -68,24 +66,17 @@ class TraceContext:
 
     def _phi_of_basis(self, n, key):
         """Plain coefficients of phi on one nerve basis element."""
-        dom = self.domain
         factors = self._factors(n, key)
         out = {}
 
         def put(tup, val):
-            if val == dom.zero:
-                return
-            w = dom.add(out.get(tup, dom.zero), val)
-            if w == dom.zero:
-                out.pop(tup, None)
-            else:
-                out[tup] = w
+            out[tup] = out.get(tup, 0) + val
 
         if n == 0:
             for (x, y), blk in factors[0].blocks.items():
                 if x == y:
-                    put((x,), _trace_of(blk, dom))
-            return out
+                    put((x,), _trace_of(blk))
+            return finished(out, self.domain)
         closer = factors[0]
         # adjacency[j - 1]: source point -> [(target point, block)] for factor j
         adjacency = []
@@ -101,14 +92,14 @@ class TraceContext:
             if j == 1:
                 blk = closer.blocks.get((cur, trail[0]))
                 if blk is not None:
-                    put(tuple(reversed(trail)), _trace_of(blk @ partial, dom))
+                    put(tuple(reversed(trail)), _trace_of(blk @ partial))
                 return
             for tgt, blk in adjacency[j - 2].get(cur, ()):
                 walk(j - 1, blk @ partial, trail + [tgt])
 
         for (xn, xnm1), blk in factors[n].blocks.items():
             walk(n, blk, [xn, xnm1])
-        return out
+        return finished(out, self.domain)
 
     def phi_matrix(self, n):
         """Matrix of phi_n from the nerve basis to invariant chain coordinates."""
@@ -125,17 +116,12 @@ class TraceContext:
         """phi of a nerve vector (sparse dict over the degree-n basis)."""
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"phi undefined in degree {n}")
-        dom = self.domain
         plain = {}
         for idx, coeff in vector.items():
             part = self._phi_of_basis(n, self.nerve.basis[n][idx])
             for tup, val in part.items():
-                w = dom.add(plain.get(tup, dom.zero), dom.mul(coeff, val))
-                if w == dom.zero:
-                    plain.pop(tup, None)
-                else:
-                    plain[tup] = w
-        return ControlledChain(self.space, n, plain, dom, check=False)
+                plain[tup] = plain.get(tup, 0) + coeff * val
+        return ControlledChain(self.space, n, plain, self.domain, check=False)
 
     def boundary_matrix(self, n):
         """The chain boundary from degree n to n - 1 on the context's chain bases."""
@@ -180,11 +166,8 @@ def dennis_trace_k0(ctx, m):
         unit = ctx.nerve.data.unit(i)
         for k, coeff in unit.items():
             idx = ctx.nerve.index[0][((i,), (k,))]
-            w = dom.add(vec.get(idx, dom.zero), dom.mul(dom.coerce(mult), coeff))
-            if w == dom.zero:
-                vec.pop(idx, None)
-            else:
-                vec[idx] = w
+            vec[idx] = vec.get(idx, 0) + mult * coeff
+    vec = finished(vec, dom)
     image = ctx.phi(0, vec)
     expected = {
         (x,): dom.coerce(m.dims[x]) for x in range(ctx.space.n) if m.dims[x]
@@ -270,16 +253,7 @@ def nerve_pushforward_matrix(ctx_src, ctx_tgt, f, n):
             factor_coords.append(got)
         col = {}
         for combo in product(*(sorted(fc.items()) for fc in factor_coords)):
-            coeff = dom.one
-            ks = []
-            for k, v in combo:
-                ks.append(k)
-                coeff = dom.mul(coeff, v)
-            idx = ctx_tgt.nerve.index[n][(o2, tuple(ks))]
-            w = dom.add(col.get(idx, dom.zero), coeff)
-            if w == dom.zero:
-                col.pop(idx, None)
-            else:
-                col[idx] = w
-        cols.append(col)
+            idx = ctx_tgt.nerve.index[n][(o2, tuple(k for k, _ in combo))]
+            col[idx] = col.get(idx, 0) + prod(v for _, v in combo)
+        cols.append(finished(col, dom))
     return Matrix.from_columns(cols, ctx_tgt.nerve.dims[n], dom)

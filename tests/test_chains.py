@@ -146,7 +146,8 @@ def test_homology_reduces_each_boundary_once(monkeypatch, domain):
         assert factored == []
 
 
-def test_complex_enumerates_each_basis_once(monkeypatch):
+def _counted_bases(monkeypatch):
+    """The degrees of every basis enumerated from now on, in call order."""
     calls = []
     real = chains_module.controlled_tuple_basis
 
@@ -155,12 +156,36 @@ def test_complex_enumerates_each_basis_once(monkeypatch):
         return real(space, n, *args, **kwargs)
 
     monkeypatch.setattr(chains_module, "controlled_tuple_basis", counted)
+    return calls
+
+
+def test_complex_enumerates_each_basis_once(monkeypatch):
+    calls = _counted_bases(monkeypatch)
     x = g_can_min(cyclic_group(3))
     cx = CoarseChainComplex(x, max_degree=4, domain=ZZ)
     assert sorted(calls) == [0, 1, 2, 3, 4]
     monkeypatch.undo()
     for n in range(5):
         assert cx.d[n] == boundary(x, n, True, ZZ)
+
+
+@pytest.mark.parametrize("n, degrees, expected", [(0, [0, 1], (1, ())), (2, [1, 2, 3], (0, ()))])
+def test_xh_enumerates_each_degree_once(monkeypatch, n, degrees, expected):
+    calls = _counted_bases(monkeypatch)
+    h = xh(g_can_min(cyclic_group(3)), n)
+    assert calls == degrees
+    assert (h.betti, h.torsion) == expected
+
+
+def test_chain_sum_rejects_a_domain_mismatch():
+    x = point_space()
+    q = ControlledChain(x, 0, {(0,): 1}, QQ)
+    f7 = ControlledChain(x, 0, {(0,): 6}, GF(7))
+    with pytest.raises(ValueError, match="domain"):
+        q + f7
+    with pytest.raises(ValueError, match="domain"):
+        f7 + q
+    assert (q + q).coefficients == {(0,): 2}
 
 
 def test_ordinary_profile_of_z4_to_degree_six():

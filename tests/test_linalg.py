@@ -1,11 +1,30 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsehom.linalg import GF, QQ, ZZ, Matrix, homology_at, invariant_factors, kernel_basis, rank, smith_normal_form
+import coarsehom.linalg as linalg_module
+from coarsehom.chains import ControlledChain, boundary_of_chain
+from coarsehom.controlled import endomorphism_algebra, generator
+from coarsehom.groups import cyclic_group
+from coarsehom.linalg import (
+    GF,
+    QQ,
+    ZZ,
+    Matrix,
+    finished,
+    homology_at,
+    invariant_factors,
+    kernel_basis,
+    rank,
+    smith_normal_form,
+)
+from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min
+from coarsehom.trace import TraceContext, nerve_pushforward_matrix
 
 
 def test_rank_hand_examples():
@@ -431,6 +450,68 @@ def test_matrix_kernel_matches_dense_fractions(domain, draw):
             _assert_canonical([v for col in out._cols.values() for v in col.values()], domain)
         _assert_canonical(image.values(), domain)
         assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+def test_finished_is_canonical():
+    raw = {0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0), 3: 0, 4: -3, 5: Fraction(-6, 3)}
+    got = finished(raw, QQ)
+    assert got == {0: 2, 1: Fraction(1, 2), 4: -3, 5: -2}
+    _assert_canonical(got.values(), QQ)
+    got = finished({0: 4, 1: 0, 2: -4}, ZZ)
+    assert got == {0: 4, 2: -4}
+    _assert_canonical(got.values(), ZZ)
+    for p in (2, 3, 97):
+        values = range(-2 * p, 2 * p + 1)
+        got = finished(dict(enumerate(values)), GF(p))
+        assert got == {i: v % p for i, v in enumerate(values) if v % p}
+        _assert_canonical(got.values(), GF(p))
+    assert finished({}, QQ) == {}
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(3)], ids=["Q", "F3"])
+def test_sums_outside_linalg_are_canonical(domain):
+    # coefficients 2 (and 2 * 2 = 4 over F_3) and halves whose sums are
+    # integral over Q, so every finishing step has work to do
+    half = Fraction(1, 2) if domain is QQ else 2
+    x = GBornCoarseSpace(["a0", "a1", "b0", "b1"], [(0, 2)], group=cyclic_group(2),
+                         action=[[0, 1, 2, 3], [1, 0, 3, 2]])
+    y = g_can_min(cyclic_group(2))
+    f = SpaceMap(x, y, [0, 1, 0, 1])
+
+    alg = endomorphism_algebra(generator(x, domain))
+    everything = dict.fromkeys(range(alg.dimension), 2)
+    for u, v in [(everything, everything), ({i: half for i in range(alg.dimension)}, everything)]:
+        _assert_canonical(alg.multiply(u, v).values(), domain)
+
+    cx = TraceContext(x, domain, max_degree=2)
+    cy = TraceContext(y, domain, max_degree=2)
+    for n in range(3):
+        for k in range(cx.nerve.dims[n]):
+            for vec in ({k: 3}, {k: 2, 0: half}):
+                _assert_canonical(cx.phi(n, vec).coefficients.values(), domain)
+        push = nerve_pushforward_matrix(cx, cy, f, n)
+        assert all(push._cols.values()), "empty column stored"
+        _assert_canonical([v for col in push._cols.values() for v in col.values()], domain)
+
+    degenerate = {(0, 0, 2): 2, (0, 2, 0): 2, (2, 0, 0): half, (0, 0, 0): 1, (2, 2, 0): half}
+    chain = boundary_of_chain(ControlledChain(x, 2, degenerate, domain))
+    assert not chain.is_zero()
+    _assert_canonical(chain.coefficients.values(), domain)
+
+
+def test_only_linalg_sums_exact_coefficients():
+    # dom.add / dom.mul per entry is the summing rule `finished` replaces;
+    # the bar-complex oracle keeps its own arithmetic on purpose
+    offenders = []
+    for path in sorted(Path(linalg_module.__file__).parent.glob("*.py")):
+        if path.name in ("linalg.py", "bar_oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("add", "mul")
+                    and getattr(node.value, "id", getattr(node.value, "attr", None))
+                    in ("dom", "domain")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_rationals_are_canonical():
