@@ -108,6 +108,23 @@ def check_coarse_invariance(f, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
     return AxiomReport("coarse_invariance", not details, details)
 
 
+def _excision_cone(d, maps, push, max_degree, domain):
+    """The iterated cone of C(A n B) -> C(A) + C(B) -> C(X) for a square of
+    inclusions ja, jb, ia, ib (`maps`, in that order).
+
+    d holds the boundaries of X, A, B and A n B by degree, and push(map, n)
+    is the degree-n matrix of one inclusion.
+    """
+    dx, da, db, dab = d
+    ja, jb, ia, ib = maps
+    minus = domain.neg(domain.one)
+    degrees = range(max_degree + 1)
+    mid = [Matrix.block([[da[n], None], [None, db[n]]], domain) for n in degrees]
+    u1 = [Matrix.block([[push(ja, n), push(jb, n).scale(minus)]], domain) for n in degrees]
+    u2 = [Matrix.block([[push(ia, n)], [push(ib, n)]], domain) for n in degrees]
+    return _iterated_cone([dx, mid, dab], [u1, u2], max_degree, domain)
+
+
 def _inclusion(space, subset):
     sub = subspace(space, subset)
     return sub, SpaceMap(sub, space, sorted({space._as_index(p) for p in subset}))
@@ -129,60 +146,19 @@ def check_excision(space, z, y, max_degree=3, chain_domain=ZZ, nerve_domain=QQ,
     pos_b = {p: i for i, p in enumerate(y_idx)}
     ia = SpaceMap(ab_space, a_space, [pos_a[p] for p in ab_idx])
     ib = SpaceMap(ab_space, b_space, [pos_b[p] for p in ab_idx])
+    spaces = (space, a_space, b_space, ab_space)
     if "ordinary" in theories:
-        dx = CoarseChainComplex(space, max_degree, chain_domain).d
-        da = CoarseChainComplex(a_space, max_degree, chain_domain).d
-        db = CoarseChainComplex(b_space, max_degree, chain_domain).d
-        dab = CoarseChainComplex(ab_space, max_degree, chain_domain).d
-        mid = [Matrix.block([[da[n], None], [None, db[n]]], chain_domain)
-               for n in range(max_degree + 1)]
-        u1 = [
-            Matrix.block(
-                [[pushforward_matrix(ja, n, chain_domain),
-                  pushforward_matrix(jb, n, chain_domain).scale(chain_domain.neg(chain_domain.one))]],
-                chain_domain,
-            )
-            for n in range(max_degree + 1)
-        ]
-        u2 = [
-            Matrix.block(
-                [[pushforward_matrix(ia, n, chain_domain)],
-                 [pushforward_matrix(ib, n, chain_domain)]],
-                chain_domain,
-            )
-            for n in range(max_degree + 1)
-        ]
-        cone = _iterated_cone([dx, mid, dab], [u1, u2], max_degree, chain_domain)
+        d = [CoarseChainComplex(sp, max_degree, chain_domain).d for sp in spaces]
+        cone = _excision_cone(d, (ja, jb, ia, ib),
+                              lambda f, n: pushforward_matrix(f, n, chain_domain),
+                              max_degree, chain_domain)
         details += [f"ordinary {line}" for line in _acyclic_degrees(cone, max_degree)]
     if "hochschild" in theories:
-        cx = TraceContext(space, nerve_domain, max_degree=max_degree)
-        ca = TraceContext(a_space, nerve_domain, max_degree=max_degree)
-        cb = TraceContext(b_space, nerve_domain, max_degree=max_degree)
-        cab = TraceContext(ab_space, nerve_domain, max_degree=max_degree)
-        bx = [cx.mixed.b(n) for n in range(max_degree + 1)]
-        ba = [ca.mixed.b(n) for n in range(max_degree + 1)]
-        bb = [cb.mixed.b(n) for n in range(max_degree + 1)]
-        bab = [cab.mixed.b(n) for n in range(max_degree + 1)]
-        mid = [Matrix.block([[ba[n], None], [None, bb[n]]], nerve_domain)
-               for n in range(max_degree + 1)]
-        minus = nerve_domain.neg(nerve_domain.one)
-        u1 = [
-            Matrix.block(
-                [[nerve_pushforward_matrix(ca, cx, ja, n),
-                  nerve_pushforward_matrix(cb, cx, jb, n).scale(minus)]],
-                nerve_domain,
-            )
-            for n in range(max_degree + 1)
-        ]
-        u2 = [
-            Matrix.block(
-                [[nerve_pushforward_matrix(cab, ca, ia, n)],
-                 [nerve_pushforward_matrix(cab, cb, ib, n)]],
-                nerve_domain,
-            )
-            for n in range(max_degree + 1)
-        ]
-        cone = _iterated_cone([bx, mid, bab], [u1, u2], max_degree, nerve_domain)
+        cx, ca, cb, cab = (TraceContext(sp, nerve_domain, max_degree=max_degree) for sp in spaces)
+        d = [[c.mixed.b(n) for n in range(max_degree + 1)] for c in (cx, ca, cb, cab)]
+        maps = ((ca, cx, ja), (cb, cx, jb), (cab, ca, ia), (cab, cb, ib))
+        cone = _excision_cone(d, maps, lambda m, n: nerve_pushforward_matrix(*m, n),
+                              max_degree, nerve_domain)
         details += [f"hochschild {line}" for line in _acyclic_degrees(cone, max_degree)]
     return AxiomReport("excision", not details, details)
 

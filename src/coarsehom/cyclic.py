@@ -4,15 +4,22 @@ The additive cyclic nerve of a list of controlled objects and the cyclic
 module of a finite algebra are built by one routine over a small "category
 data" interface: basis dimensions per hom space, composition coordinates,
 and unit coordinates.  Degree n of the nerve is the direct sum, over
-(n+1)-tuples of objects, of Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on});
-basis elements are pairs (object tuple, morphism index tuple), enumerated
-lexicographically so every matrix is reproducible bit for bit.
+(n+1)-tuples of objects, of Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on}).
+
+The degree-n basis is one value, `NerveBasis`: the keys (object tuple,
+morphism index tuple), enumerated lexicographically so every matrix is
+reproducible bit for bit, and their index.  It holds the one rule for the
+hom space of each factor (`ends`), and every nerve operator (the faces, t,
+the degeneracies, the front insertion, and the trace's nerve pushforward)
+is one `matrix` call with an image function on keys.  Other modules read
+keys, factors and coordinates through it and the category data.
 
 Sign conventions (pinned by the identity suite below):
     d_i  composes adjacent factors, d_n wraps unsigned,
     t    = (-1)^n  x  cyclic rotation,
     b    = sum of (-1)^i d_i,
-    B    = (1 - t) . (insert identity at the front) . N,   N = sum of t^i.
+    B    = (1 - t) . (insert identity at the front) . N,   N = sum of t^i,
+           one `connes_operator` for the nerve and for the trace's chains.
 The b-complex and the total complex are `linalg.Complex` values, so b^2 = 0
 and d^2 = 0 are checked once each, where they are built; `MixedComplex`
 adds B^2 = 0 and bB + Bb = 0.  A failed identity raises `InvariantError`
@@ -23,6 +30,7 @@ that of the total complex, built on the first `hc` call.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .controlled import HomSpace, compose, identity_morphism
 from .linalg import Complex, InvariantError, Matrix
@@ -58,21 +66,28 @@ class _NerveData:
     def dim(self, s, t):
         return self.hom[s][t].dim
 
+    def morphism(self, s, t, k):
+        """Basis morphism k of Hom(P_s, P_t)."""
+        return self.hom[s][t].basis[k]
+
+    def coordinates(self, s, t, mor):
+        """Coordinates of a morphism P_s -> P_t in the hom basis."""
+        return self.hom[s][t].coordinates(mor)
+
     def comp(self, s, mid, t, i, j):
         """Coordinates of basis_i . basis_j, basis_i in Hom(mid,t), basis_j in Hom(s,mid)."""
         key = (s, mid, t, i, j)
         out = self._comp.get(key)
         if out is None:
-            left = self.hom[mid][t].basis[i]
-            right = self.hom[s][mid].basis[j]
-            out = self.hom[s][t].coordinates(compose(left, right))
+            out = self.coordinates(s, t, compose(self.morphism(mid, t, i),
+                                                 self.morphism(s, mid, j)))
             self._comp[key] = out
         return out
 
     def unit(self, a):
         out = self._unit.get(a)
         if out is None:
-            out = self.hom[a][a].coordinates(identity_morphism(self.objects[a]))
+            out = self.coordinates(a, a, identity_morphism(self.objects[a]))
             self._unit[a] = out
         return out
 
@@ -114,105 +129,117 @@ class _AlgebraData:
         return self.algebra.unit
 
 
-def _degree_basis(data, n, cap):
-    """Lexicographic (object tuple, morphism tuple) basis of nerve degree n."""
-    r = data.count
-    total = 0
-    for o in product(range(r), repeat=n + 1):
-        size = 1
-        for j in range(n + 1):
-            size *= data.dim(o[(j + 1) % (n + 1)], o[j])
-            if not size:
-                break
-        total += size
-        if total > cap:
-            raise ValueError(
-                f"cyclic nerve degree {n} needs more than {cap} basis elements"
-            )
-    basis = []
-    for o in product(range(r), repeat=n + 1):
-        ranges = [range(data.dim(o[(j + 1) % (n + 1)], o[j])) for j in range(n + 1)]
-        if any(len(rg) == 0 for rg in ranges):
-            continue
-        for m in product(*ranges):
-            basis.append((o, m))
-    index = {key: i for i, key in enumerate(basis)}
-    return basis, index
+class NerveBasis(list):
+    """The degree-n basis: (object tuple o, morphism tuple m) keys in
+    lexicographic order, with their index.
+
+    Factor j of a key is basis morphism m[j] of Hom(P_o[j+1], P_o[j]),
+    indices mod n + 1 (see `ends`).  Every nerve operator is one `matrix`
+    call with an image function on keys.  The size is counted against the
+    cap before any key is listed.
+    """
+
+    def __init__(self, data, n, cap=DEFAULT_BASIS_CAP):
+        super().__init__()
+        self.data = data
+        self.degree = n
+        total = 0
+        for o in product(range(data.count), repeat=n + 1):
+            total += prod(data.dim(*self.ends(o, j)) for j in range(n + 1))
+            if total > cap:
+                raise ValueError(
+                    f"cyclic nerve degree {n} needs more than {cap} basis elements"
+                )
+        for o in product(range(data.count), repeat=n + 1):
+            ranges = [range(data.dim(*self.ends(o, j))) for j in range(n + 1)]
+            self.extend((o, m) for m in product(*ranges))
+        self.index = {key: i for i, key in enumerate(self)}
+
+    def ends(self, o, j):
+        """(source, target) objects of factor j of a key with object tuple o."""
+        n = self.degree
+        return o[(j + 1) % (n + 1)], o[j]
+
+    def factors(self, key):
+        """The morphisms of a key, factor by factor."""
+        o, m = key
+        return [self.data.morphism(*self.ends(o, j), k) for j, k in enumerate(m)]
+
+    def matrix(self, target, image, domain):
+        """The operator sending each key to `image(key)`, a {target key: value}
+        dict whose values `Matrix.from_columns` coerces into `domain`."""
+        index = target.index
+        cols = [{index[k]: v for k, v in image(key).items()} for key in self]
+        return Matrix.from_columns(cols, len(target), domain)
 
 
-def _face_matrix(data, n, i, basis_n, index_prev, nrows):
-    dom = data.domain
-    cols = []
-    for o, m in basis_n:
-        col = {}
+def _face(basis, target, i):
+    """d_i composes factors i and i + 1; d_n puts the composite in front."""
+    n = basis.degree
+    comp = basis.data.comp
+
+    def image(key):
+        o, m = key
         if i < n:
-            s = o[(i + 2) % (n + 1)]
-            mid, t = o[i + 1], o[i]
-            table = data.comp(s, mid, t, m[i], m[i + 1])
+            s, mid = basis.ends(o, i + 1)
             o2 = o[: i + 1] + o[i + 2 :]
-            for k, coeff in table.items():
-                m2 = m[:i] + (k,) + m[i + 2 :]
-                col[index_prev[(o2, m2)]] = coeff
-        else:
-            table = data.comp(o[1], o[0], o[n], m[n], m[0])
-            o2 = (o[n],) + o[1:n]
-            for k, coeff in table.items():
-                m2 = (k,) + m[1:n]
-                col[index_prev[(o2, m2)]] = coeff
-        cols.append(col)
-    return Matrix.from_columns(cols, nrows, dom)
+            return {(o2, m[:i] + (k,) + m[i + 2 :]): c
+                    for k, c in comp(s, mid, o[i], m[i], m[i + 1]).items()}
+        o2 = (o[n],) + o[1:n]
+        return {(o2, (k,) + m[1:n]): c for k, c in comp(o[1], o[0], o[n], m[n], m[0]).items()}
+
+    return basis.matrix(target, image, basis.data.domain)
 
 
-def _cyclic_matrix(data, n, basis_n, index_n):
-    dom = data.domain
+def _rotation(basis):
+    """t = (-1)^n x the cyclic rotation of the factors."""
+    dom = basis.data.domain
+    n = basis.degree
     sign = dom.one if n % 2 == 0 else dom.neg(dom.one)
-    cols = []
-    for o, m in basis_n:
-        o2 = (o[n],) + o[:n]
-        m2 = (m[n],) + m[:n]
-        cols.append({index_n[(o2, m2)]: sign})
-    return Matrix.from_columns(cols, len(basis_n), dom)
+
+    def image(key):
+        o, m = key
+        return {((o[n],) + o[:n], (m[n],) + m[:n]): sign}
+
+    return basis.matrix(basis, image, dom)
 
 
-def _degeneracy_matrix(data, n, i, basis_n, index_next, nrows):
-    dom = data.domain
-    cols = []
-    for o, m in basis_n:
-        a = o[(i + 1) % (n + 1)]
+def _insert_unit(basis, target, i):
+    """Insert an identity after factor i: s_i for 0 <= i <= n, and for
+    i = -1 the identity of the first object in front (the extra degeneracy)."""
+    data = basis.data
+
+    def image(key):
+        o, m = key
+        a = basis.ends(o, i)[0]
         o2 = o[: i + 1] + (a,) + o[i + 1 :]
-        col = {}
-        for k, coeff in data.unit(a).items():
-            m2 = m[: i + 1] + (k,) + m[i + 1 :]
-            col[index_next[(o2, m2)]] = coeff
-        cols.append(col)
-    return Matrix.from_columns(cols, nrows, dom)
+        return {(o2, m[: i + 1] + (k,) + m[i + 1 :]): c for k, c in data.unit(a).items()}
+
+    return basis.matrix(target, image, data.domain)
 
 
-def _front_insert_matrix(data, n, basis_n, index_next, nrows):
-    """Insert the identity of the first object in front (the extra degeneracy)."""
-    dom = data.domain
-    cols = []
-    for o, m in basis_n:
-        o2 = (o[0],) + o
-        col = {}
-        for k, coeff in data.unit(o[0]).items():
-            col[index_next[((o2), (k,) + m)]] = coeff
-        cols.append(col)
-    return Matrix.from_columns(cols, nrows, dom)
+def connes_operator(n, t_n, front, t_up):
+    """B = (1 - t) . s . N in degree n, N = 1 + t + ... + t^n, from t in
+    degrees n and n + 1 and the extra degeneracy s."""
+    dom = t_n.domain
+    norm = power = Matrix.identity(t_n.ncols, dom)
+    for _ in range(n):
+        power = power @ t_n
+        norm = norm + power
+    return (Matrix.identity(t_up.ncols, dom) - t_up) @ front @ norm
 
 
 class CyclicModule:
     """Face, degeneracy, and cyclic matrices of a cyclic k-module, degrees <= N.
 
-    Faces and t are built once; a degeneracy is built from `data` on call.
+    Faces and t are built once; a degeneracy is built from the basis on call.
     """
 
-    def __init__(self, max_degree, domain, dims, basis, index, faces, cyc, data):
+    def __init__(self, max_degree, domain, basis, faces, cyc, data):
         self.max_degree = max_degree
         self.domain = domain
-        self.dims = dims
         self.basis = basis
-        self.index = index
+        self.dims = [len(b) for b in basis]
         self._faces = faces
         self._cyc = cyc
         self.data = data
@@ -225,8 +252,7 @@ class CyclicModule:
     def degeneracy(self, n, i):
         if not (0 <= n < self.max_degree and 0 <= i <= n):
             raise ValueError(f"degeneracy s_{i} undefined in degree {n}")
-        return _degeneracy_matrix(self.data, n, i, self.basis[n], self.index[n + 1],
-                                  self.dims[n + 1])
+        return _insert_unit(self.basis[n], self.basis[n + 1], i)
 
     def cyclic(self, n):
         if not (0 <= n <= self.max_degree):
@@ -261,21 +287,11 @@ class CyclicModule:
 
 
 def _build(data, max_degree, cap):
-    dims = []
-    basis = []
-    index = []
-    for n in range(max_degree + 1):
-        b, ix = _degree_basis(data, n, cap)
-        basis.append(b)
-        index.append(ix)
-        dims.append(len(b))
-    faces = [[]]
-    for n in range(1, max_degree + 1):
-        faces.append(
-            [_face_matrix(data, n, i, basis[n], index[n - 1], dims[n - 1]) for i in range(n + 1)]
-        )
-    cyc = [_cyclic_matrix(data, n, basis[n], index[n]) for n in range(max_degree + 1)]
-    mod = CyclicModule(max_degree, data.domain, dims, basis, index, faces, cyc, data)
+    basis = [NerveBasis(data, n, cap) for n in range(max_degree + 1)]
+    faces = [[]] + [[_face(basis[n], basis[n - 1], i) for i in range(n + 1)]
+                    for n in range(1, max_degree + 1)]
+    cyc = [_rotation(b) for b in basis]
+    mod = CyclicModule(max_degree, data.domain, basis, faces, cyc, data)
     mod.check_identities()
     return mod
 
@@ -350,22 +366,12 @@ def to_mixed(module, extra_outer_sign=False):
     for n in range(1, N + 1):
         acc = module.face(n, 0)
         for i in range(1, n + 1):
-            term = module.face(n, i)
-            acc = acc + (term.scale(dom.neg(dom.one)) if i % 2 else term)
+            acc = acc - module.face(n, i) if i % 2 else acc + module.face(n, i)
         b.append(acc)
     big = []
     for n in range(N):
-        t_n = module.cyclic(n)
-        norm = Matrix.identity(dims[n], dom)
-        power = Matrix.identity(dims[n], dom)
-        for _ in range(n):
-            power = power @ t_n
-            norm = norm + power
-        front = _front_insert_matrix(
-            module.data, n, module.basis[n], module.index[n + 1], dims[n + 1]
-        )
-        one_minus_t = Matrix.identity(dims[n + 1], dom) - module.cyclic(n + 1)
-        mat = one_minus_t @ front @ norm
+        front = _insert_unit(module.basis[n], module.basis[n + 1], -1)
+        mat = connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1))
         if extra_outer_sign and n % 2 == 0:
             mat = mat.scale(dom.neg(dom.one))
         big.append(mat)

@@ -56,8 +56,9 @@ from math import gcd, lcm
 def finished(vec, domain):
     """A sparse vector {key: value} summed with plain + and *, in canonical
     form over `domain`: reduced mod p over F_p, integral rationals made ints
-    over Q, zeros dropped.  `vec` is finished in place and returned, or
-    copied when it holds a zero.
+    over Q, zeros dropped.  Over F_p the result is a new dict, built in one
+    pass; otherwise `vec` is finished in place and returned, or copied when
+    it holds a zero.
 
         >>> finished({0: 4, 1: 3, 2: 1}, GF(3))
         {0: 1, 2: 1}
@@ -66,9 +67,13 @@ def finished(vec, domain):
     """
     p = domain.char
     if p:
+        out = {}
         for i, v in vec.items():
-            vec[i] = v % p
-    elif domain is QQ:
+            v %= p
+            if v:
+                out[i] = v
+        return out
+    if domain is QQ:
         for i, v in vec.items():
             if type(v) is Fraction and v.denominator == 1:
                 vec[i] = v.numerator

@@ -551,6 +551,3 @@ def coset_space(group, subgroup):
     action = [[coset_of[group.mul(g, c[0])] for c in cosets] for g in range(len(group))]
     return min_max_space(group, action, labels)
 
-
-def orbits(x):
-    return x.orbits()

@@ -7,13 +7,16 @@ tuple (x_0, ..., x_n) is the trace of the composite
 
 walking the block supports only, so the cost tracks the sparsity of the
 morphisms.  The image is an invariant chain; phi_matrix expresses it in
-orbit-sum coordinates.
+orbit-sum coordinates.  Nerve keys and their factors are read through
+`cyclic.NerveBasis`, and the nerve pushforward CN(f_*) is one
+`NerveBasis.matrix` call.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
 identity insertion with duplicating the last coordinate up front.  The
 chain-level operators live here as xc_cyclic_operator / xc_connes_operator
-so that phi . B_nerve = B_chain . phi can be checked as a matrix identity.
+(the latter through the nerve's own `cyclic.connes_operator`) so that
+phi . B_nerve = B_chain . phi can be checked as a matrix identity.
 Note what that implies: phi . B_nerve is NOT zero in even degrees (already
 on the point, phi(B(1)) = 2 (pt,pt)), so a mixed-complex map onto chains
 with zero B does not exist; the honest statement is the intertwining one.
@@ -31,7 +34,8 @@ from .controlled import (
     pushforward_morphism,
     require_nerve_admissible,
 )
-from .cyclic import DEFAULT_BASIS_CAP, DEFAULT_MAX_DEGREE, additive_cyclic_nerve, to_mixed
+from .cyclic import (DEFAULT_BASIS_CAP, DEFAULT_MAX_DEGREE, additive_cyclic_nerve,
+                     connes_operator, to_mixed)
 from .linalg import QQ, InvariantError, Matrix, finished
 
 
@@ -59,14 +63,9 @@ class TraceContext:
 
     # -- phi ---------------------------------------------------------------
 
-    def _factors(self, n, key):
-        o, m = key
-        hom = self.nerve.data.hom
-        return [hom[o[(j + 1) % (n + 1)]][o[j]].basis[m[j]] for j in range(n + 1)]
-
     def _phi_of_basis(self, n, key):
         """Plain coefficients of phi on one nerve basis element."""
-        factors = self._factors(n, key)
+        factors = self.nerve.basis[n].factors(key)
         out = {}
 
         def put(tup, val):
@@ -159,13 +158,13 @@ def dennis_trace_k0(ctx, m):
         raise ValueError("dennis_trace_k0 needs the orbit-regular object list")
     dom = ctx.domain
     vec = {}
+    index = ctx.nerve.basis[0].index
     for i, orb in enumerate(ctx.space.orbits()):
         mult = m.dims[orb[0]]
         if not mult:
             continue
-        unit = ctx.nerve.data.unit(i)
-        for k, coeff in unit.items():
-            idx = ctx.nerve.index[0][((i,), (k,))]
+        for k, coeff in ctx.nerve.data.unit(i).items():
+            idx = index[((i,), (k,))]
             vec[idx] = vec.get(idx, 0) + mult * coeff
     vec = finished(vec, dom)
     image = ctx.phi(0, vec)
@@ -200,16 +199,9 @@ def xc_connes_operator(space, n, domain, invariant=True):
     """The chain-level (1 - t) s N operator matching the nerve's B under phi."""
     basis = controlled_tuple_basis(space, n, invariant)
     basis_up = controlled_tuple_basis(space, n + 1, invariant)
-    t_n = _xc_rotation(basis, domain)
-    dim_n = t_n.ncols
-    norm = Matrix.identity(dim_n, domain)
-    power = Matrix.identity(dim_n, domain)
-    for _ in range(n):
-        power = power @ t_n
-        norm = norm + power
-    front = _xc_front_insert(basis, basis_up, domain)
-    one_minus = Matrix.identity(len(basis_up), domain) - _xc_rotation(basis_up, domain)
-    return one_minus @ front @ norm
+    return connes_operator(n, _xc_rotation(basis, domain),
+                           _xc_front_insert(basis, basis_up, domain),
+                           _xc_rotation(basis_up, domain))
 
 
 # -- naturality --------------------------------------------------------------
@@ -230,30 +222,29 @@ def nerve_pushforward_matrix(ctx_src, ctx_tgt, f, n):
     for orb in src_orbits:
         y = f(orb[0])
         orbit_map.append(next(i for i, t in enumerate(tgt_orbits) if y in t))
-    dom = ctx_src.domain
-    cols = []
+    basis = ctx_src.nerve.basis[n]
     coord_cache = {}
-    for o, m in ctx_src.nerve.basis[n]:
+
+    def coords(s, t, k):
+        """Sorted target coordinates of the image of basis morphism k of Hom(P_s, P_t)."""
+        got = coord_cache.get((s, t, k))
+        if got is None:
+            pushed = pushforward_morphism(
+                f,
+                ctx_src.nerve.data.morphism(s, t, k),
+                pushed_source=ctx_tgt.objects[orbit_map[s]],
+                pushed_target=ctx_tgt.objects[orbit_map[t]],
+            )
+            got = sorted(ctx_tgt.nerve.data.coordinates(orbit_map[s], orbit_map[t], pushed).items())
+            coord_cache[(s, t, k)] = got
+        return got
+
+    def image(key):
+        o, m = key
         o2 = tuple(orbit_map[i] for i in o)
-        factor_coords = []
-        for j in range(n + 1):
-            s_obj, t_obj = o[(j + 1) % (n + 1)], o[j]
-            key = (s_obj, t_obj, m[j])
-            got = coord_cache.get(key)
-            if got is None:
-                mor = ctx_src.nerve.data.hom[s_obj][t_obj].basis[m[j]]
-                pushed = pushforward_morphism(
-                    f,
-                    mor,
-                    pushed_source=ctx_tgt.objects[orbit_map[s_obj]],
-                    pushed_target=ctx_tgt.objects[orbit_map[t_obj]],
-                )
-                got = ctx_tgt.nerve.data.hom[orbit_map[s_obj]][orbit_map[t_obj]].coordinates(pushed)
-                coord_cache[key] = got
-            factor_coords.append(got)
-        col = {}
-        for combo in product(*(sorted(fc.items()) for fc in factor_coords)):
-            idx = ctx_tgt.nerve.index[n][(o2, tuple(k for k, _ in combo))]
-            col[idx] = col.get(idx, 0) + prod(v for _, v in combo)
-        cols.append(finished(col, dom))
-    return Matrix.from_columns(cols, ctx_tgt.nerve.dims[n], dom)
+        parts = [coords(*basis.ends(o, j), k) for j, k in enumerate(m)]
+        # each combination of target basis morphisms is a different key
+        return {(o2, tuple(k for k, _ in combo)): prod(v for _, v in combo)
+                for combo in product(*parts)}
+
+    return basis.matrix(ctx_tgt.nerve.basis[n], image, ctx_src.domain)

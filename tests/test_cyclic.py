@@ -1,9 +1,12 @@
 """Cyclic nerves, mixed complexes, HH and HC against hand-computed values."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coarsehom.cyclic as cyclic_module
 from coarsehom.controlled import endomorphism_algebra, generator, orbit_objects
 from coarsehom.cyclic import (
     additive_cyclic_nerve,
@@ -175,6 +178,33 @@ def test_empty_object_list_gives_zero_module():
 def test_degree_guard():
     with pytest.raises(ValueError, match="basis elements"):
         algebra_cyclic_module(algebra_of(g_can_min(symmetric_group(3))), 4, cap=100)
+
+
+def test_nerve_cap_fails_before_any_operator_is_built():
+    # degree 3 of the s3 nerve has 6^4 = 1296 keys
+    objects = orbit_objects(g_can_min(symmetric_group(3)), QQ)
+    assert additive_cyclic_nerve(objects, 3, cap=1296).dims == [6, 36, 216, 1296]
+    built = []
+    real = cyclic_module.NerveBasis.matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclic_module.NerveBasis, "matrix",
+                   lambda *a, **k: built.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="degree 3 needs more than 1295 basis elements"):
+            additive_cyclic_nerve(objects, 3, cap=1295)
+    assert built == []
+
+
+def test_only_cyclic_reads_hom_spaces():
+    # the nerve's key layout lives in `cyclic.NerveBasis`; other modules read
+    # keys, factors and coordinates through it and the nerve data
+    offenders = []
+    for path in sorted(Path(cyclic_module.__file__).parent.glob("*.py")):
+        if path.name == "cyclic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "hom":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_degree_out_of_range():

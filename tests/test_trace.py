@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import coarsehom.chains as chains_module
+from coarsehom.axioms import random_equivalence
 from coarsehom.chains import ControlledChain, boundary, pushforward_matrix
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
@@ -52,7 +55,7 @@ def test_phi_of_a_swap_tensor_swap():
     vec = {}
     for i, ci in swap.items():
         for j, cj in swap.items():
-            vec[ctx.nerve.index[1][((0, 0), (i, j))]] = QQ.mul(ci, cj)
+            vec[ctx.nerve.basis[1].index[((0, 0), (i, j))]] = QQ.mul(ci, cj)
     out = ctx.phi(1, vec)
     assert out.coefficients == {(0, 1): QQ.one, (1, 0): QQ.one}
 
@@ -71,7 +74,7 @@ def test_phi_support_stays_inside_the_block_supports():
     ctx = canmin_ctx(2, max_degree=2)
     n = 1
     for key in ctx.nerve.basis[n]:
-        factors = ctx._factors(n, key)
+        factors = ctx.nerve.basis[n].factors(key)
         allowed = [set(a.blocks) for a in factors]
         chain = ctx._phi_of_basis(n, key)
         for (x0, x1) in chain:
@@ -244,6 +247,28 @@ def test_nerve_pushforward_commutes_with_phi():
         left = push_chain @ cx.phi_matrix(n)
         right = cy.phi_matrix(n) @ push_nerve
         assert left.to_dense() == right.to_dense()
+
+
+def random_setup():
+    f = random_equivalence(random.Random(3))
+    return f.source, f.target, f
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("setup", [collapse_setup, random_setup], ids=["collapse", "random"])
+def test_nerve_pushforward_is_a_map_of_cyclic_modules(setup, domain):
+    x, y, f = setup()
+    cx = TraceContext(x, domain, max_degree=3)
+    cy = TraceContext(y, domain, max_degree=3)
+    push = [nerve_pushforward_matrix(cx, cy, f, n) for n in range(4)]
+    assert not any(p.is_zero() for p in push)
+    for n in range(4):
+        assert push[n] @ cx.nerve.cyclic(n) == cy.nerve.cyclic(n) @ push[n]
+        for i in range(n + 1):
+            if n >= 1:
+                assert push[n - 1] @ cx.nerve.face(n, i) == cy.nerve.face(n, i) @ push[n]
+            if n < 3:
+                assert push[n + 1] @ cx.nerve.degeneracy(n, i) == cy.nerve.degeneracy(n, i) @ push[n]
 
 
 def test_nerve_pushforward_checks_endpoints():
