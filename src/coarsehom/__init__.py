@@ -84,6 +84,7 @@ from .spaces import (
     restrict_entourage,
     subspace,
     tensor,
+    underlying,
 )
 from .trace import (
     TraceContext,

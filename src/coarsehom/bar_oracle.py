@@ -71,14 +71,14 @@ class _BarComplex:
             for i in range(n):
                 merged = tup[:i] + (self.table[tup[i]][tup[i + 1]],) + tup[i + 2:]
                 m.add_at(self._index(merged), col, sign)
-                sign = f.neg(sign)
+                sign = -sign
             wrapped = (self.table[tup[n]][tup[0]],) + tup[1:n]
             m.add_at(self._index(wrapped), col, sign)
         return m
 
     def _cyclic(self, n):
         f = self.field
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
+        sign = f.one if n % 2 == 0 else -1
         m = Matrix.zeros(self.dims[n], self.dims[n], f)
         for col, tup in enumerate(product(range(self.g), repeat=n + 1)):
             m.add_at(self._index((tup[-1],) + tup[:-1]), col, sign)

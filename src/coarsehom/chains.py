@@ -11,8 +11,9 @@ the orbits, with their index.  The least tuple of an orbit starts at the
 least point of x_0's orbit, so its representative is found from a per-point
 table of the elements that send x_0 there (one for a free action); the
 basis is enumerated from first points that are orbit minima, and plain
-tuples are never listed.  The plain complex is the same value with the
-identity as the only group element.  Every invariant chain map (boundary,
+tuples are never listed.  The plain (non-equivariant) complex of x is the
+complex of `spaces.underlying(x)`, whose only group element is the
+identity, so each of its orbits is one tuple.  Every chain map (boundary,
 pushforward, and the trace's t, front insertion and phi) is built by one
 method: sum a plain image over each source orbit and collect it on the
 target basis, checking that it is constant on orbits.
@@ -97,18 +98,15 @@ class OrbitBasis(list):
     """The degree-n basis: the sorted orbit representatives of controlled tuples.
 
     Each representative is the least tuple of its orbit and stands for the
-    sum of the orbit's indicator chains.  With `invariant=False` the identity
-    is the only group element, so every orbit is a single tuple.  The least
-    tuple of an orbit starts at the least point of x_0's orbit, so `rep` tries
-    only the elements that send x_0 there (one for a free action).
+    sum of the orbit's indicator chains.  The least tuple of an orbit starts
+    at the least point of x_0's orbit, so `rep` tries only the elements that
+    send x_0 there (one for a free action).
     """
 
-    def __init__(self, space, n, invariant=True, cap=DEFAULT_TUPLE_CAP):
+    def __init__(self, space, n, cap=DEFAULT_TUPLE_CAP):
         super().__init__()
         self.degree = n
-        self._rows = tuple(dict.fromkeys(map(tuple, space.action))) if invariant else (
-            tuple(range(space.n)),
-        )
+        self._rows = tuple(dict.fromkeys(map(tuple, space.action)))
         least = [min(g[x] for g in self._rows) for x in range(space.n)]
         self._lead = [[g for g in self._rows if g[x] == least[x]] for x in range(space.n)]
         for component in space.components():
@@ -164,17 +162,17 @@ class OrbitBasis(list):
         return Matrix.from_columns(cols, len(target), domain)
 
 
-def controlled_tuple_basis(space, n, invariant=True, cap=DEFAULT_TUPLE_CAP):
-    """Ordered degree-n basis of orbit representatives (plain tuples if not invariant).
+def controlled_tuple_basis(space, n, cap=DEFAULT_TUPLE_CAP):
+    """Ordered degree-n basis of orbit representatives.
 
     The cap bounds the number of representatives.
     """
-    return OrbitBasis(space, n, invariant, cap)
+    return OrbitBasis(space, n, cap)
 
 
-def basis_chain(space, tup, domain, invariant=True):
-    """The chain a basis element stands for (orbit sum when invariant)."""
-    orbit = controlled_tuple_basis(space, len(tup) - 1, invariant).orbit(tuple(tup))
+def basis_chain(space, tup, domain):
+    """The chain a basis element stands for: the sum over its orbit."""
+    orbit = controlled_tuple_basis(space, len(tup) - 1).orbit(tuple(tup))
     return ControlledChain(space, len(tup) - 1, dict.fromkeys(orbit, domain.one), domain,
                            check=False)
 
@@ -196,10 +194,10 @@ def _boundary_on(n, basis_n, basis_prev, domain):
     return basis_n.matrix(basis_prev, _boundary_of_tuple, domain)
 
 
-def boundary(space, n, invariant=True, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
+def boundary(space, n, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
     """Matrix of the alternating face sum from degree n to degree n - 1."""
-    basis_n = controlled_tuple_basis(space, n, invariant, cap)
-    basis_prev = controlled_tuple_basis(space, n - 1, invariant, cap) if n else []
+    basis_n = controlled_tuple_basis(space, n, cap)
+    basis_prev = controlled_tuple_basis(space, n - 1, cap) if n else []
     return _boundary_on(n, basis_n, basis_prev, domain)
 
 
@@ -217,13 +215,9 @@ def boundary_of_chain(c):
 class CoarseChainComplex(Complex):
     """Bases and boundary matrices up to a degree cap, as a `Complex`."""
 
-    def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ, invariant=True,
-                 cap=DEFAULT_TUPLE_CAP):
+    def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
         self.space = space
-        self.invariant = invariant
-        self.bases = [
-            controlled_tuple_basis(space, n, invariant, cap) for n in range(max_degree + 1)
-        ]
+        self.bases = [controlled_tuple_basis(space, n, cap) for n in range(max_degree + 1)]
         super().__init__(
             [
                 _boundary_on(n, self.bases[n], self.bases[n - 1] if n else [], domain)
@@ -233,12 +227,11 @@ class CoarseChainComplex(Complex):
         )
 
 
-def xh(space, n, domain=ZZ, invariant=True, max_degree=DEFAULT_MAX_DEGREE,
-       cap=DEFAULT_TUPLE_CAP):
+def xh(space, n, domain=ZZ, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_TUPLE_CAP):
     """Coarse ordinary homology at degree n (Z by default, or a field)."""
     if not (0 <= n <= max_degree - 1):
         raise ValueError(f"degree {n} out of range (need n + 1 <= {max_degree})")
-    prev, basis, up = (controlled_tuple_basis(space, k, invariant, cap) if k >= 0 else []
+    prev, basis, up = (controlled_tuple_basis(space, k, cap) if k >= 0 else []
                        for k in (n - 1, n, n + 1))
     d_out = _boundary_on(n, basis, prev, domain)
     d_in = _boundary_on(n + 1, up, basis, domain)
@@ -257,11 +250,11 @@ def chain_pushforward(f, c):
     return ControlledChain(f.target, c.degree, out, c.domain, check=False)
 
 
-def pushforward_matrix(f, n, domain=ZZ, invariant=True, cap=DEFAULT_TUPLE_CAP):
+def pushforward_matrix(f, n, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
     """Matrix of the degree-n pushforward in the chosen bases."""
     rep = is_morphism(f)
     if not rep.ok:
         raise ValueError(f"chain pushforward needs a valid morphism: {rep.violations}")
-    src = controlled_tuple_basis(f.source, n, invariant, cap)
-    tgt = controlled_tuple_basis(f.target, n, invariant, cap)
+    src = controlled_tuple_basis(f.source, n, cap)
+    tgt = controlled_tuple_basis(f.target, n, cap)
     return src.matrix(tgt, lambda tup: {tuple(map(f, tup)): domain.one}, domain)

@@ -25,7 +25,8 @@ from .controlled import generator, require_nerve_admissible
 from .groups import FiniteGroup, named_group, named_subgroup
 from .homology import nerve_profiles, ordinary_profile
 from .linalg import GF, QQ, ZZ, InvariantError
-from .spaces import GBornCoarseSpace, coset_space, g_can_min, is_flasque, point_space
+from .spaces import (GBornCoarseSpace, coset_space, g_can_min, is_flasque, point_space,
+                     underlying)
 from .trace import TraceContext, dennis_trace_k0, xc_connes_operator
 
 
@@ -161,9 +162,9 @@ def _space_summary(space, token):
     }
 
 
-def _run_ordinary(space, max_degree, domain, invariant):
+def _run_ordinary(space, max_degree, domain):
     rows = []
-    for h in ordinary_profile(space, max_degree, domain, invariant):
+    for h in ordinary_profile(space, max_degree, domain):
         rows.append({"degree": h.degree, "betti": h.betti, "torsion": list(h.torsion)})
     return rows
 
@@ -260,6 +261,8 @@ def _cmd_describe(args):
 def _cmd_run(args):
     theory = args.theory
     domain, coeff_name = _parse_coeff(args.coeff, theory if theory != "all" else "nerve")
+    if args.max_degree < 0:
+        raise InputError("--max-degree", f"must be at least 0, got {args.max_degree}")
     space = load_space(args.space)
     doc = {
         "space": _space_summary(space, args.space),
@@ -273,7 +276,8 @@ def _cmd_run(args):
     failed = False
     try:
         if theory in ("ordinary", "all"):
-            rows = _run_ordinary(space, args.max_degree, domain, args.invariant)
+            rows = _run_ordinary(space if args.invariant else underlying(space),
+                                 args.max_degree, domain)
             doc["results"]["ordinary"] = rows
             for r in rows:
                 lines.append(f"XH_{r['degree']}: betti {r['betti']} torsion {tuple(r['torsion'])}")
@@ -333,7 +337,8 @@ def build_parser():
     run.add_argument("--coeff", default="Q", help="Q, Z, or Fp:<prime> (Z only for ordinary)")
     run.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     run.add_argument("--invariant", action=argparse.BooleanOptionalAction, default=True,
-                     help="use the invariant chain complex for the ordinary theory")
+                     help="ordinary theory: the invariant complex (default), or with "
+                          "--no-invariant XH of the underlying space, the group forgotten")
     run.add_argument("--seed", type=int, default=0, help="fuzz seed (axioms)")
     run.add_argument("--budget", type=int, default=5, help="fuzz iterations (axioms)")
     run.add_argument("--format", default="text", choices=["text", "json"])

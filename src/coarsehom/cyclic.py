@@ -33,7 +33,7 @@ from itertools import product
 from math import prod
 
 from .controlled import HomSpace, compose, identity_morphism
-from .linalg import Complex, InvariantError, Matrix
+from .linalg import QQ, Complex, InvariantError, Matrix
 
 DEFAULT_MAX_DEGREE = 4
 DEFAULT_BASIS_CAP = 200_000
@@ -193,15 +193,14 @@ def _face(basis, target, i):
 
 def _rotation(basis):
     """t = (-1)^n x the cyclic rotation of the factors."""
-    dom = basis.data.domain
     n = basis.degree
-    sign = dom.one if n % 2 == 0 else dom.neg(dom.one)
+    sign = -1 if n % 2 else 1
 
     def image(key):
         o, m = key
         return {((o[n],) + o[:n], (m[n],) + m[:n]): sign}
 
-    return basis.matrix(basis, image, dom)
+    return basis.matrix(basis, image, basis.data.domain)
 
 
 def _insert_unit(basis, target, i):
@@ -280,7 +279,7 @@ class CyclicModule:
             t_prev = self.cyclic(n - 1)
             for i in range(1, n + 1):
                 lhs = self.face(n, i) @ t_n
-                rhs = (t_prev @ self.face(n, i - 1)).scale(self.domain.neg(self.domain.one))
+                rhs = (t_prev @ self.face(n, i - 1)).scale(-1)
                 if lhs != rhs:
                     raise InvariantError(f"cyclic compatibility d_{i} t = -t d_{i - 1}", n)
         return True
@@ -299,12 +298,14 @@ def _build(data, max_degree, cap):
 def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP, domain=None):
     """The cyclic module of the additive category spanned by the objects.
 
-    An empty object list gives the zero module over `domain` (default Q).
+    An empty object list gives the zero module over `domain` (default Q);
+    otherwise a given `domain` must be the objects' own.
     """
     if not objects:
-        from .linalg import QQ
-
         return _build(_ZeroData(domain if domain is not None else QQ), max_degree, cap)
+    if domain is not None and domain is not objects[0].domain:
+        raise ValueError(f"nerve domain {domain!r} differs from the objects' "
+                         f"{objects[0].domain!r}")
     return _build(_NerveData(objects), max_degree, cap)
 
 
@@ -351,13 +352,11 @@ class MixedComplex:
                 )
 
 
-def to_mixed(module, extra_outer_sign=False):
+def to_mixed(module):
     """Mixed complex (C, b, B) of a cyclic module.
 
     b is the alternating face sum; B composes the cyclic norm, the front
-    identity insertion, and (1 - t).  With extra_outer_sign=True an extra
-    (-1)^(n+1) multiplies B; that tempting variant breaks bB + Bb = 0 and
-    exists so the failure stays demonstrable.
+    identity insertion, and (1 - t).
     """
     N = module.max_degree
     dom = module.domain
@@ -371,10 +370,7 @@ def to_mixed(module, extra_outer_sign=False):
     big = []
     for n in range(N):
         front = _insert_unit(module.basis[n], module.basis[n + 1], -1)
-        mat = connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1))
-        if extra_outer_sign and n % 2 == 0:
-            mat = mat.scale(dom.neg(dom.one))
-        big.append(mat)
+        big.append(connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1)))
     return MixedComplex(N, dom, dims, b, big, source=module)
 
 

@@ -6,9 +6,9 @@ from .cyclic import additive_cyclic_nerve, hc, hh, to_mixed
 from .linalg import QQ, ZZ
 
 
-def ordinary_profile(space, max_degree=3, domain=ZZ, invariant=True):
+def ordinary_profile(space, max_degree=3, domain=ZZ):
     """Coarse ordinary homology in degrees 0 .. max_degree - 1."""
-    cx = CoarseChainComplex(space, max_degree, domain, invariant)
+    cx = CoarseChainComplex(space, max_degree, domain)
     return [cx.homology(n) for n in range(max_degree)]
 
 

@@ -32,7 +32,9 @@ This module is the one place that sums exact coefficients and lays out
 blocks.  A sparse sum anywhere in the package (a `Matrix` column, a chain,
 a trace, a hom-space constraint) is accumulated with plain + and *, which
 act alike on int and Fraction, and handed to `finished` once: reduce mod p,
-make integral rationals ints, and drop zeros.  Block matrices (the total
+make integral rationals ints, and drop zeros.  A domain (QQ, ZZ, GF(p))
+has no arithmetic of its own: it coerces, and names its zero, one,
+characteristic and whether it is a field.  Block matrices (the total
 complex of a mixed complex, iterated mapping cones) are laid out by
 `Matrix.block`, never by hand-written offsets.
 
@@ -102,18 +104,6 @@ class _Rationals:
             return _canonical_q(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def add(self, a, b):
-        return _canonical_q(a + b)
-
-    def mul(self, a, b):
-        return _canonical_q(a * b)
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        return _canonical_q(Fraction(a, b))
-
     def __repr__(self):
         return "QQ"
 
@@ -132,21 +122,6 @@ class _Integers:
         if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator
         raise TypeError(f"cannot coerce {x!r} into Z")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ZeroDivisionError(f"{a} not divisible by {b} in Z")
-        return q
 
     def __repr__(self):
         return "ZZ"
@@ -187,20 +162,6 @@ class _PrimeField:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.char}")
             return x.numerator * pow(den, self.char - 2, self.char) % self.char
         raise TypeError(f"cannot coerce {x!r} into F_{self.char}")
-
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) % self.char
-
-    def neg(self, a):
-        return (-a) % self.char
-
-    def div(self, a, b):
-        if b % self.char == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.char}")
-        return a * pow(b, self.char - 2, self.char) % self.char
 
     def __repr__(self):
         return f"GF({self.char})"
@@ -283,6 +244,8 @@ class Matrix:
             for bj, blk in enumerate(brow):
                 if blk is None:
                     continue
+                if blk.domain is not domain:
+                    raise ValueError("domain mismatch in block matrix")
                 if heights[bi] is None:
                     heights[bi] = blk.nrows
                 elif heights[bi] != blk.nrows:
@@ -327,7 +290,7 @@ class Matrix:
             col[i] = v
 
     def add_at(self, i, j, value):
-        self.set(i, j, self.domain.add(self.get(i, j), self.domain.coerce(value)))
+        self.set(i, j, self.get(i, j) + value)
 
     def column(self, j):
         """The j-th column as {row: value} (a fresh dict)."""
@@ -716,7 +679,7 @@ def kernel_data(matrix):
         for c, row in norm_rows:
             v = row.get(f)
             if v:
-                vec[c] = dom.neg(dom.coerce(v))
+                vec[c] = dom.coerce(-v)
         basis.append(vec)
         free.append(f)
     return basis, free

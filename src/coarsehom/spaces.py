@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .groups import trivial_group
 from .linalg import InvariantError
 
 
@@ -428,8 +429,6 @@ def is_complementary_pair(x, z, ys):
 
 def point_space(group=None):
     """One point with the trivial action of `group` (default: trivial group)."""
-    from .groups import trivial_group
-
     if group is None:
         group = trivial_group()
     return GBornCoarseSpace(
@@ -441,8 +440,6 @@ def point_space(group=None):
 
 
 def empty_space(group=None):
-    from .groups import trivial_group
-
     if group is None:
         group = trivial_group()
     return GBornCoarseSpace(points=[], entourage_generators=[], group=group, action=[[] for _ in range(len(group))], bornology_generators=[])
@@ -459,6 +456,16 @@ def g_can_min(group):
     action = [[group.mul(g, x) for x in range(n)] for g in range(n)]
     generators = [(points[group.identity], points[g]) for g in range(n)]
     return GBornCoarseSpace(points, generators, group, action)
+
+
+def underlying(x):
+    """x with its group forgotten: the same points, coarse components and
+    bornology under the trivial group (restriction along 1 -> G).  The
+    non-equivariant theories of x are the theories of this space."""
+    gens = {(x.act(g, a), x.act(g, b))
+            for g in range(len(x.group)) for a, b in x.entourage_generators}
+    return GBornCoarseSpace(x.points, sorted(gens), trivial_group(), [list(range(x.n))],
+                            [sorted(gen) for gen in x.bornology_generators])
 
 
 def subspace(x, z):

@@ -54,11 +54,9 @@ class TraceContext:
         self.domain = domain
         self.objects = list(objects) if objects is not None else orbit_objects(space, domain)
         self.max_degree = max_degree
-        self.nerve = additive_cyclic_nerve(self.objects, max_degree, cap)
+        self.nerve = additive_cyclic_nerve(self.objects, max_degree, cap, domain)
         self.mixed = to_mixed(self.nerve)
-        self.chain_bases = [
-            controlled_tuple_basis(space, n, invariant=True) for n in range(max_degree + 1)
-        ]
+        self.chain_bases = [controlled_tuple_basis(space, n) for n in range(max_degree + 1)]
         self._phi_cols = [None] * (max_degree + 1)
 
     # -- phi ---------------------------------------------------------------
@@ -181,13 +179,13 @@ def dennis_trace_k0(ctx, m):
 
 def _xc_rotation(basis, domain):
     """`xc_cyclic_operator` on a basis already enumerated."""
-    sign = domain.one if basis.degree % 2 == 0 else domain.neg(domain.one)
+    sign = -1 if basis.degree % 2 else 1
     return basis.matrix(basis, lambda tup: {(tup[-1],) + tup[:-1]: sign}, domain)
 
 
-def xc_cyclic_operator(space, n, domain, invariant=True):
+def xc_cyclic_operator(space, n, domain):
     """Signed rotation (x_0..x_n) -> (-1)^n (x_n, x_0, ..., x_{n-1})."""
-    return _xc_rotation(controlled_tuple_basis(space, n, invariant), domain)
+    return _xc_rotation(controlled_tuple_basis(space, n), domain)
 
 
 def _xc_front_insert(basis, basis_up, domain):
@@ -195,10 +193,10 @@ def _xc_front_insert(basis, basis_up, domain):
     return basis.matrix(basis_up, lambda tup: {(tup[-1],) + tup: domain.one}, domain)
 
 
-def xc_connes_operator(space, n, domain, invariant=True):
+def xc_connes_operator(space, n, domain):
     """The chain-level (1 - t) s N operator matching the nerve's B under phi."""
-    basis = controlled_tuple_basis(space, n, invariant)
-    basis_up = controlled_tuple_basis(space, n + 1, invariant)
+    basis = controlled_tuple_basis(space, n)
+    basis_up = controlled_tuple_basis(space, n + 1)
     return connes_operator(n, _xc_rotation(basis, domain),
                            _xc_front_insert(basis, basis_up, domain),
                            _xc_rotation(basis_up, domain))

@@ -253,8 +253,8 @@ def _complete_space(k):
 
 def _cone_homotopy(space, n):
     """H_n sending (x_0..x_n) to (0, x_0..x_n); needs one coarse component."""
-    rows = controlled_tuple_basis(space, n + 1, invariant=False)
-    cols = controlled_tuple_basis(space, n, invariant=False)
+    rows = controlled_tuple_basis(space, n + 1)
+    cols = controlled_tuple_basis(space, n)
     idx = {t: i for i, t in enumerate(rows)}
     m = Matrix.zeros(len(rows), len(cols), ZZ)
     for j, tup in enumerate(cols):
@@ -272,8 +272,8 @@ def test_criterion_12_ordinary_homology_counts_components():
         space = _complete_space(k)
         assert xh(space, 0, ZZ).betti == 1
         for n in range(1, 4):
-            dn = boundary(space, n, invariant=False, domain=ZZ)
-            dn1 = boundary(space, n + 1, invariant=False, domain=ZZ)
+            dn = boundary(space, n, domain=ZZ)
+            dn1 = boundary(space, n + 1, domain=ZZ)
             cone = dn1 @ _cone_homotopy(space, n) + _cone_homotopy(space, n - 1) @ dn
             assert cone == Matrix.identity(dn.ncols, ZZ)
             result = xh(space, n, ZZ)

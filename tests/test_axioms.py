@@ -126,9 +126,8 @@ def test_identity_suite_runs():
     assert check_identity_suite(g_can_min(cyclic_group(3)), max_degree=3).ok
 
 
-def test_identity_suite_reports_a_failed_identity(monkeypatch):
-    real = homology_module.to_mixed
-    monkeypatch.setattr(homology_module, "to_mixed", lambda m: real(m, extra_outer_sign=True))
+def test_identity_suite_reports_a_failed_identity(monkeypatch, sign_flipped_mixed):
+    monkeypatch.setattr(homology_module, "to_mixed", sign_flipped_mixed)
     report = check_identity_suite(g_can_min(cyclic_group(2)), 3)
     assert not report.ok
     assert "bB + Bb = 0 (sign-convention bug) fails in degree 2" in report.details[0]

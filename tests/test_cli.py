@@ -50,6 +50,40 @@ def test_run_ordinary_with_integer_coefficients(capsys):
     assert "XH_1: betti 0 torsion (2,)" in out
 
 
+def test_no_invariant_computes_xh_of_the_underlying_space(capsys):
+    # with the group forgotten z2 is one coarse component: no Z/2 in degree 1
+    code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--theory", "ordinary", "--coeff", "Z",
+                             "--no-invariant", "--max-degree", "3")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("XH_")] == [
+        "XH_0: betti 1 torsion ()", "XH_1: betti 0 torsion ()", "XH_2: betti 0 torsion ()",
+    ]
+    code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--theory", "all", "--no-invariant",
+                             "--max-degree", "2")
+    assert code == 0
+    assert "XH_1: betti 0 torsion ()" in out
+    assert "XHH_0: 2" in out  # the nerve theories keep the group
+
+
+@pytest.mark.parametrize("theory", ["ordinary", "hochschild", "trace"])
+def test_negative_max_degree_is_bad_input(capsys, theory):
+    code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--theory", theory,
+                             "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error at --max-degree: ")
+
+
+@pytest.mark.parametrize("coeff", ["Q", "Fp:5"])
+def test_trace_on_the_empty_space(tmp_path, capsys, coeff):
+    doc = {"points": [], "entourage_generators": [],
+           "group": {"elements": ["e"], "table": [[0]]}, "action": [[]]}
+    code, out, err = run_cli(capsys, "run", write_space(tmp_path, doc), "--theory", "trace",
+                             "--coeff", coeff, "--max-degree", "2")
+    assert code == 0, err
+    assert "result: ok" in out
+
+
 def test_integer_coefficients_limited_to_ordinary(capsys):
     code, out, err = run_cli(capsys, "run", "@point", "--theory", "cyclic", "--coeff", "Z")
     assert code == 2
@@ -153,9 +187,8 @@ def test_axioms_theory_runs_green(capsys):
     assert "result: ok" in out
 
 
-def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys):
-    real = homology_module.to_mixed
-    monkeypatch.setattr(homology_module, "to_mixed", lambda m: real(m, extra_outer_sign=True))
+def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys, sign_flipped_mixed):
+    monkeypatch.setattr(homology_module, "to_mixed", sign_flipped_mixed)
     code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--max-degree", "3")
     assert code == 3
     assert out == ""

@@ -17,7 +17,7 @@ from coarsehom.cyclic import (
     tot_B,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
-from coarsehom.linalg import GF, QQ, rank
+from coarsehom.linalg import GF, QQ, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
 
 
@@ -41,15 +41,10 @@ def commutator_hh0(alg):
             ji = alg.multiply(basis[j], basis[i])
             col = dict(ij)
             for k, v in ji.items():
-                w = alg.domain.add(col.get(k, alg.domain.zero), alg.domain.neg(v))
-                if w == alg.domain.zero:
-                    col.pop(k, None)
-                else:
-                    col[k] = w
+                col[k] = col.get(k, 0) - v
+            col = finished(col, alg.domain)
             if col:
                 cols.append(col)
-    from coarsehom.linalg import Matrix
-
     m = Matrix.from_columns(cols, n, alg.domain)
     return n - rank(m)
 
@@ -153,10 +148,10 @@ def test_single_object_nerve_matches_algebra_module():
 # ----------------------------------------------------- convention policing
 
 
-def test_extra_outer_sign_breaks_identities():
+def test_extra_outer_sign_breaks_identities(sign_flipped_mixed):
     m = algebra_cyclic_module(algebra_of(two_points(False)), 3)
     with pytest.raises(ValueError, match="sign-convention"):
-        to_mixed(m, extra_outer_sign=True)
+        sign_flipped_mixed(m)
 
 
 def test_identity_suite_runs_at_construction():
@@ -173,6 +168,14 @@ def test_empty_object_list_gives_zero_module():
     mix = to_mixed(m)
     assert hh(mix, 0).betti == 0
     assert hc(mix, 2).betti == 0
+
+
+def test_nerve_domain_must_be_the_objects_domain():
+    objects = orbit_objects(g_can_min(cyclic_group(3)), GF(5))
+    with pytest.raises(ValueError, match="domain"):
+        additive_cyclic_nerve(objects, 2, domain=QQ)
+    assert additive_cyclic_nerve(objects, 2, domain=GF(5)).domain is GF(5)
+    assert additive_cyclic_nerve([], 2, domain=GF(5)).domain is GF(5)
 
 
 def test_degree_guard():

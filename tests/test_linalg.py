@@ -322,7 +322,7 @@ def test_domain_coercions():
     f5 = GF(5)
     assert f5.coerce(-1) == 4
     assert f5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
-    assert f5.div(1, 3) == 2
+    assert f5.coerce(Fraction(1, 3)) == 2  # 1/3 = 2 mod 5
     with pytest.raises(ValueError):
         GF(6)
     with pytest.raises(ValueError):
@@ -345,6 +345,15 @@ def test_matrix_block_and_product():
     assert a.transpose().to_dense() == [[1, 3], [2, 4]]
     with pytest.raises(ValueError):
         Matrix.block([[None]], QQ)
+
+
+def test_matrix_block_rejects_a_domain_mismatch():
+    half = Matrix.from_dense([[Fraction(1, 2)]], QQ)
+    with pytest.raises(ValueError, match="domain"):
+        Matrix.block([[half]], GF(5))
+    with pytest.raises(ValueError, match="domain"):
+        Matrix.block([[Matrix.identity(1, GF(5)), half]], GF(5))
+    assert Matrix.block([[half]], QQ).get(0, 0) == Fraction(1, 2)
 
 
 def test_matrix_entry_rules():
@@ -500,27 +509,30 @@ def test_sums_outside_linalg_are_canonical(domain):
 
 
 def test_only_linalg_sums_exact_coefficients():
-    # dom.add / dom.mul per entry is the summing rule `finished` replaces;
-    # the bar-complex oracle keeps its own arithmetic on purpose
+    # dom.add / dom.mul / dom.neg / dom.div per entry is the arithmetic that
+    # plain + and * with one `finished` replace, in every module, the
+    # bar-complex oracle (whose domain is `f` or `field`) included
     offenders = []
     for path in sorted(Path(linalg_module.__file__).parent.glob("*.py")):
-        if path.name in ("linalg.py", "bar_oracle.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr in ("add", "mul")
+            if (isinstance(node, ast.Attribute) and node.attr in ("add", "mul", "neg", "div")
                     and getattr(node.value, "id", getattr(node.value, "attr", None))
-                    in ("dom", "domain")):
+                    in ("dom", "domain", "f", "field")):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(2), GF(7)], ids=["Q", "Z", "F2", "F7"])
+def test_a_domain_only_coerces(domain):
+    assert [name for name in ("add", "mul", "neg", "div") if hasattr(domain, name)] == []
 
 
 def test_rationals_are_canonical():
     half = Fraction(1, 2)
     assert type(QQ.zero) is int and type(QQ.one) is int
-    for value in (QQ.coerce(Fraction(4, 2)), QQ.add(half, half), QQ.mul(half, 2),
-                  QQ.div(4, 2), QQ.coerce(True)):
+    for value in (QQ.coerce(Fraction(4, 2)), QQ.coerce(True)):
         assert type(value) is int
-    assert QQ.div(1, 2) == half and type(QQ.div(1, 2)) is Fraction
+    assert QQ.coerce(half) == half and type(QQ.coerce(half)) is Fraction
 
 
 def test_module_docstring_examples():

@@ -18,6 +18,7 @@ from coarsehom.spaces import (
     min_max_space,
     point_space,
     restrict_entourage,
+    underlying,
     subspace,
     tensor,
     thickening,
@@ -222,3 +223,22 @@ def test_orbit_structure():
     assert g_can_min(symmetric_group(3)).orbits() == ((0, 1, 2, 3, 4, 5),)
     assert swap.is_invariant_set({0, 1})
     assert not swap.is_invariant_set({0, 2})
+
+
+@pytest.mark.parametrize("make", [
+    # a0 ~ b0 only through its generator; a1 ~ b1 and a2 ~ b2 only through translates
+    lambda: GBornCoarseSpace(["a0", "a1", "a2", "b0", "b1", "b2"], [("a0", "b0")], cyclic_group(3),
+                             [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 0, 1, 5, 3, 4]]),
+    lambda: g_can_min(symmetric_group(3)),
+    lambda: min_max_space(cyclic_group(2), [[0, 1, 2], [1, 0, 2]]),
+    lambda: point_space(cyclic_group(2)),
+    empty_space,
+], ids=["translates", "s3", "min-max", "point", "empty"])
+def test_underlying_forgets_only_the_group(make):
+    x = make()
+    u = underlying(x)
+    assert u.points == x.points
+    assert u.components() == x.components()
+    assert u.bornology_generators == x.bornology_generators
+    assert len(u.group) == 1 and u.action == [list(range(x.n))]
+    assert u.orbits() == tuple((p,) for p in range(x.n))

@@ -8,7 +8,7 @@ from coarsehom.chains import ControlledChain, boundary, pushforward_matrix
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
 from coarsehom.linalg import GF, Matrix, QQ, kernel_basis, rank
-from coarsehom.spaces import GBornCoarseSpace, SpaceMap, g_can_min, point_space
+from coarsehom.spaces import GBornCoarseSpace, SpaceMap, empty_space, g_can_min, point_space
 from coarsehom.trace import (
     TraceContext,
     dennis_trace_k0,
@@ -55,7 +55,7 @@ def test_phi_of_a_swap_tensor_swap():
     vec = {}
     for i, ci in swap.items():
         for j, cj in swap.items():
-            vec[ctx.nerve.basis[1].index[((0, 0), (i, j))]] = QQ.mul(ci, cj)
+            vec[ctx.nerve.basis[1].index[((0, 0), (i, j))]] = ci * cj
     out = ctx.phi(1, vec)
     assert out.coefficients == {(0, 1): QQ.one, (1, 0): QQ.one}
 
@@ -96,7 +96,7 @@ def test_phi_intertwines_b_with_the_boundary(make):
 
 def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
     ctx = canmin_ctx(3)
-    expected = [boundary(ctx.space, n, True, QQ) for n in range(ctx.max_degree + 1)]
+    expected = [boundary(ctx.space, n, QQ) for n in range(ctx.max_degree + 1)]
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("boundary_matrix enumerated a basis again")
@@ -105,6 +105,12 @@ def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
     assert [ctx.boundary_matrix(n) for n in range(ctx.max_degree + 1)] == expected
     with pytest.raises(ValueError, match="degree"):
         ctx.boundary_matrix(ctx.max_degree + 1)
+
+
+def test_trace_context_on_no_orbits_keeps_its_domain():
+    ctx = TraceContext(empty_space(), GF(5), max_degree=2)
+    assert ctx.nerve.domain is GF(5) and ctx.mixed.domain is GF(5)
+    assert ctx.phi_matrix(1).domain is GF(5)
 
 
 def test_phi_after_b_over_gf5():
@@ -155,8 +161,8 @@ def test_chain_level_connes_operator_induces_zero_on_xh(space, domain):
     boundary, i.e. rank [d_(n+2) | B_chain K] = rank d_(n+2) for the cycle
     basis K = ker d_n, n = 0..2."""
     for n in range(3):
-        d_n = boundary(space, n, invariant=True, domain=domain)
-        d_up = boundary(space, n + 2, invariant=True, domain=domain)
+        d_n = boundary(space, n, domain=domain)
+        d_up = boundary(space, n + 2, domain=domain)
         cycles = Matrix.from_columns(kernel_basis(d_n), d_n.ncols, domain)
         image = xc_connes_operator(space, n, domain) @ cycles
         assert rank(Matrix.block([[d_up, image]], domain)) == rank(d_up)
@@ -206,7 +212,7 @@ def test_dennis_trace_counts_fiber_dimensions():
     assert image.coefficients == {(0,): QQ.one, (1,): QQ.one}
     m2 = direct_sum(m, m)
     vec2, image2 = dennis_trace_k0(ctx, m2)
-    assert vec2 == {k: QQ.mul(QQ.coerce(2), v) for k, v in vec.items()}
+    assert vec2 == {k: 2 * v for k, v in vec.items()}
     assert image2.coefficients == {(0,): QQ.coerce(2), (1,): QQ.coerce(2)}
 
 
@@ -242,7 +248,7 @@ def test_nerve_pushforward_commutes_with_phi():
     cx = TraceContext(x, QQ, max_degree=2)
     cy = TraceContext(y, QQ, max_degree=2)
     for n in range(3):
-        push_chain = pushforward_matrix(f, n, domain=QQ, invariant=True)
+        push_chain = pushforward_matrix(f, n, domain=QQ)
         push_nerve = nerve_pushforward_matrix(cx, cy, f, n)
         left = push_chain @ cx.phi_matrix(n)
         right = cy.phi_matrix(n) @ push_nerve
