@@ -26,7 +26,7 @@ from .spaces import (
     restrict_entourage,
     subspace,
 )
-from .trace import TraceContext, nerve_pushforward_matrix
+from .trace import nerve_pushforward_matrix
 
 
 @dataclass
@@ -89,8 +89,10 @@ def check_coarse_invariance(f, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
     if not is_coarse_equivalence(f):
         return AxiomReport("coarse_invariance", False, ["map is not a coarse equivalence"])
     x, y = f.source, f.target
-    px = [(h.betti, h.torsion) for h in ordinary_profile(x, max_degree, chain_domain)]
-    py = [(h.betti, h.torsion) for h in ordinary_profile(y, max_degree, chain_domain)]
+    cx = CoarseChainComplex(x, max_degree, chain_domain)
+    cy = CoarseChainComplex(y, max_degree, chain_domain)
+    px = [(h.betti, h.torsion) for h in map(cx.homology, range(max_degree))]
+    py = [(h.betti, h.torsion) for h in map(cy.homology, range(max_degree))]
     if px != py:
         details.append(f"ordinary profiles differ: {px} vs {py}")
     nx = nerve_profiles(x, max_degree, nerve_domain)
@@ -99,8 +101,6 @@ def check_coarse_invariance(f, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
         details.append(f"hochschild profiles differ: {nx[0]} vs {ny[0]}")
     if nx[1] != ny[1]:
         details.append(f"cyclic profiles differ: {nx[1]} vs {ny[1]}")
-    cy = CoarseChainComplex(y, max_degree, chain_domain)
-    cx = CoarseChainComplex(x, max_degree, chain_domain)
     push = [pushforward_matrix(f, n, chain_domain) for n in range(max_degree + 1)]
     cone = _iterated_cone([cy.d, cx.d], [push], max_degree, chain_domain)
     details += [f"cone {line}" for line in _acyclic_degrees(cone, max_degree)]
@@ -149,9 +149,10 @@ def check_excision(space, z, y, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
                           lambda f, n: pushforward_matrix(f, n, chain_domain),
                           max_degree, chain_domain)
     details += [f"ordinary {line}" for line in _acyclic_degrees(cone, max_degree)]
-    cx, ca, cb, cab = (TraceContext(sp, nerve_domain, max_degree=max_degree) for sp in spaces)
-    d = [[c.mixed.b(n) for n in range(max_degree + 1)] for c in (cx, ca, cb, cab)]
-    maps = ((ca, cx, ja), (cb, cx, jb), (cab, ca, ia), (cab, cb, ib))
+    mixed = [space_mixed_complex(sp, max_degree, nerve_domain) for sp in spaces]
+    d = [[m.b(n) for n in range(max_degree + 1)] for m in mixed]
+    nx, na, nb, nab = (m.source for m in mixed)
+    maps = ((na, nx, ja), (nb, nx, jb), (nab, na, ia), (nab, nb, ib))
     cone = _excision_cone(d, maps, lambda m, n: nerve_pushforward_matrix(*m, n),
                           max_degree, nerve_domain)
     details += [f"hochschild {line}" for line in _acyclic_degrees(cone, max_degree)]

@@ -40,16 +40,21 @@ DEFAULT_BASIS_CAP = 200_000
 
 
 class _NerveData:
-    """Hom-space dimensions, composition and unit coordinates for a nerve."""
+    """Hom-space dimensions, composition and unit coordinates for a nerve
+    (see `additive_cyclic_nerve` for the empty list and `domain`)."""
 
-    def __init__(self, objects):
-        if not objects:
-            raise ValueError("need at least one object")
-        space = objects[0].space
-        domain = objects[0].domain
-        for ob in objects:
-            if ob.space is not space or ob.domain is not domain:
-                raise ValueError("all nerve objects must share one space and field")
+    def __init__(self, objects, domain=None):
+        if objects:
+            if domain is not None and domain is not objects[0].domain:
+                raise ValueError(f"nerve domain {domain!r} differs from the objects' "
+                                 f"{objects[0].domain!r}")
+            space = objects[0].space
+            domain = objects[0].domain
+            for ob in objects:
+                if ob.space is not space or ob.domain is not domain:
+                    raise ValueError("all nerve objects must share one space and field")
+        elif domain is None:
+            domain = QQ
         if not domain.is_field:
             raise ValueError("the cyclic nerve needs field coefficients")
         self.objects = list(objects)
@@ -90,21 +95,6 @@ class _NerveData:
             out = self.coordinates(a, a, identity_morphism(self.objects[a]))
             self._unit[a] = out
         return out
-
-
-class _ZeroData:
-    """Category data of the empty object list (the zero module)."""
-
-    count = 0
-
-    def __init__(self, domain):
-        self.domain = domain
-        self.objects = []
-
-    def dim(self, s, t):
-        raise IndexError("zero module has no hom spaces")
-
-    comp = unit = dim
 
 
 class _AlgebraData:
@@ -301,12 +291,7 @@ def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BA
     An empty object list gives the zero module over `domain` (default Q);
     otherwise a given `domain` must be the objects' own.
     """
-    if not objects:
-        return _build(_ZeroData(domain if domain is not None else QQ), max_degree, cap)
-    if domain is not None and domain is not objects[0].domain:
-        raise ValueError(f"nerve domain {domain!r} differs from the objects' "
-                         f"{objects[0].domain!r}")
-    return _build(_NerveData(objects), max_degree, cap)
+    return _build(_NerveData(objects, domain), max_degree, cap)
 
 
 def algebra_cyclic_module(algebra, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP):
@@ -378,7 +363,10 @@ class TotComplex(Complex):
     """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ...
 
     d_n is a block grid whose block j is C_(n-2j): b maps block j of
-    Tot_n to block j of Tot_(n-1), and B maps it to block j - 1.
+    Tot_n to block j of Tot_(n-1), and B maps it to block j - 1.  The
+    blocks of d_(n-1) d_n are b^2, bB + Bb and B^2, so the identities
+    already checked imply d^2 = 0 in every degree built here; the check
+    `Complex` makes anyway only guards the `Matrix.block` layout.
     """
 
     def __init__(self, mixed):

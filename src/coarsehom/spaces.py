@@ -62,7 +62,7 @@ class GBornCoarseSpace:
         self._comp_of = close_coarse_structure(self.entourage_generators, self.n, self.action)
 
         if bornology_generators is None:
-            bornology_generators = [[p] for p in self.points]
+            bornology_generators = [[i] for i in range(self.n)]
         self.bornology_generators = tuple(
             frozenset(self._as_index(p) for p in gen) for gen in bornology_generators
         )
@@ -454,7 +454,7 @@ def g_can_min(group):
     n = len(group)
     points = [group.label(g) for g in range(n)]
     action = [[group.mul(g, x) for x in range(n)] for g in range(n)]
-    generators = [(points[group.identity], points[g]) for g in range(n)]
+    generators = [(group.identity, g) for g in range(n)]
     return GBornCoarseSpace(points, generators, group, action)
 
 
@@ -475,15 +475,13 @@ def subspace(x, z):
         raise ValueError("subspace carrier must be G-invariant")
     old_to_new = {old: new for new, old in enumerate(z_idx)}
     points = [x.points[i] for i in z_idx]
-    gens = [(x.points[a], x.points[b]) for a in z_idx for b in z_idx if x.related(a, b)]
+    gens = [(old_to_new[a], old_to_new[b]) for a in z_idx for b in z_idx if x.related(a, b)]
     action = [[old_to_new[x.act(g, i)] for i in z_idx] for g in range(len(x.group))]
     borno = []
     for gen in x.bornology_generators:
-        trace = [x.points[i] for i in sorted(gen) if i in old_to_new]
+        trace = [old_to_new[i] for i in sorted(gen) if i in old_to_new]
         if trace:
             borno.append(trace)
-    if not z_idx:
-        borno = []
     return GBornCoarseSpace(points, gens, x.group, action, borno or None)
 
 
@@ -500,10 +498,10 @@ def restrict_entourage(x, u):
                 raise ValueError("entourage restriction must be G-invariant")
     return GBornCoarseSpace(
         points=list(x.points),
-        entourage_generators=[(x.points[a], x.points[b]) for a, b in pairs],
+        entourage_generators=pairs,
         group=x.group,
         action=[row[:] for row in x.action],
-        bornology_generators=[[x.points[i] for i in sorted(gen)] for gen in x.bornology_generators],
+        bornology_generators=[sorted(gen) for gen in x.bornology_generators],
     )
 
 

@@ -7,9 +7,13 @@ tuple (x_0, ..., x_n) is the trace of the composite
 
 walking the block supports only, so the cost tracks the sparsity of the
 morphisms.  The image is an invariant chain; phi_matrix expresses it in
-orbit-sum coordinates.  Nerve keys and their factors are read through
-`cyclic.NerveBasis`, and the nerve pushforward CN(f_*) is one
-`NerveBasis.matrix` call.
+orbit-sum coordinates.  A `TraceContext` is the two complexes phi joins,
+each from its one builder: the nerve's mixed complex from
+`homology.space_mixed_complex` and the coarse chain complex from
+`chains.CoarseChainComplex`, whose bases and boundaries it reads.  Nerve
+keys and their factors are read through `cyclic.NerveBasis`, and the nerve
+pushforward CN(f_*), a map of cyclic modules, is one `NerveBasis.matrix`
+call between two nerves.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
@@ -27,15 +31,10 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .chains import ControlledChain, _boundary_on, controlled_tuple_basis
-from .controlled import (
-    ControlledMorphism,
-    orbit_objects,
-    pushforward_morphism,
-    require_nerve_admissible,
-)
-from .cyclic import (DEFAULT_BASIS_CAP, DEFAULT_MAX_DEGREE, additive_cyclic_nerve,
-                     connes_operator, to_mixed)
+from .chains import CoarseChainComplex, ControlledChain, controlled_tuple_basis
+from .controlled import orbit_objects, pushforward_morphism
+from .cyclic import DEFAULT_MAX_DEGREE, connes_operator
+from .homology import space_mixed_complex
 from .linalg import QQ, InvariantError, Matrix, finished
 
 
@@ -45,18 +44,16 @@ def _trace_of(mat):
 
 
 class TraceContext:
-    """Nerve of the orbit-regular objects plus chain bases, with phi cached."""
+    """The nerve's mixed complex and the coarse chain complex, with phi cached."""
 
-    def __init__(self, space, domain=QQ, objects=None, max_degree=DEFAULT_MAX_DEGREE,
-                 cap=DEFAULT_BASIS_CAP):
-        require_nerve_admissible(space, domain)
+    def __init__(self, space, domain=QQ, objects=None, max_degree=DEFAULT_MAX_DEGREE):
         self.space = space
         self.domain = domain
-        self.objects = list(objects) if objects is not None else orbit_objects(space, domain)
         self.max_degree = max_degree
-        self.nerve = additive_cyclic_nerve(self.objects, max_degree, cap, domain)
-        self.mixed = to_mixed(self.nerve)
-        self.chain_bases = [controlled_tuple_basis(space, n) for n in range(max_degree + 1)]
+        self.mixed = space_mixed_complex(space, max_degree, domain, objects)
+        self.nerve = self.mixed.source
+        self.objects = self.nerve.data.objects
+        self.chains = CoarseChainComplex(space, max_degree, domain)
         self._phi_cols = [None] * (max_degree + 1)
 
     # -- phi ---------------------------------------------------------------
@@ -103,7 +100,7 @@ class TraceContext:
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"phi undefined in degree {n}")
         if self._phi_cols[n] is None:
-            basis = self.chain_bases[n]
+            basis = self.chains.bases[n]
             cols = [basis.collect(self._phi_of_basis(n, key), self.domain)
                     for key in self.nerve.basis[n]]
             self._phi_cols[n] = Matrix.from_columns(cols, len(basis), self.domain)
@@ -121,11 +118,10 @@ class TraceContext:
         return ControlledChain(self.space, n, plain, self.domain, check=False)
 
     def boundary_matrix(self, n):
-        """The chain boundary from degree n to n - 1 on the context's chain bases."""
+        """The chain boundary from degree n to n - 1, from the context's complex."""
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"boundary undefined in degree {n}")
-        bases = self.chain_bases
-        return _boundary_on(n, bases[n], bases[n - 1] if n else [], self.domain)
+        return self.chains.d[n]
 
     # -- the point section ---------------------------------------------------
 
@@ -205,22 +201,22 @@ def xc_connes_operator(space, n, domain):
 # -- naturality --------------------------------------------------------------
 
 
-def nerve_pushforward_matrix(ctx_src, ctx_tgt, f, n):
-    """Matrix of CN(f_*) in degree n between orbit-regular nerve bases.
+def nerve_pushforward_matrix(src, tgt, f, n):
+    """Matrix of CN(f_*) in degree n between the nerves of orbit-regular objects.
 
     On free actions the pushforward of an orbit-regular object along an
     equivariant controlled map is literally the orbit-regular object of the
     image orbit, so each factor's image expands in the target hom bases.
     """
-    if f.source is not ctx_src.space or f.target is not ctx_tgt.space:
-        raise ValueError("map endpoints do not match the contexts")
-    src_orbits = ctx_src.space.orbits()
-    tgt_orbits = ctx_tgt.space.orbits()
+    if (any(ob.space is not f.source for ob in src.data.objects)
+            or any(ob.space is not f.target for ob in tgt.data.objects)):
+        raise ValueError("map endpoints do not match the nerves' objects")
+    tgt_orbits = f.target.orbits()
     orbit_map = []
-    for orb in src_orbits:
+    for orb in f.source.orbits():
         y = f(orb[0])
         orbit_map.append(next(i for i, t in enumerate(tgt_orbits) if y in t))
-    basis = ctx_src.nerve.basis[n]
+    basis = src.basis[n]
     coord_cache = {}
 
     def coords(s, t, k):
@@ -229,11 +225,11 @@ def nerve_pushforward_matrix(ctx_src, ctx_tgt, f, n):
         if got is None:
             pushed = pushforward_morphism(
                 f,
-                ctx_src.nerve.data.morphism(s, t, k),
-                pushed_source=ctx_tgt.objects[orbit_map[s]],
-                pushed_target=ctx_tgt.objects[orbit_map[t]],
+                src.data.morphism(s, t, k),
+                pushed_source=tgt.data.objects[orbit_map[s]],
+                pushed_target=tgt.data.objects[orbit_map[t]],
             )
-            got = sorted(ctx_tgt.nerve.data.coordinates(orbit_map[s], orbit_map[t], pushed).items())
+            got = sorted(tgt.data.coordinates(orbit_map[s], orbit_map[t], pushed).items())
             coord_cache[(s, t, k)] = got
         return got
 
@@ -245,4 +241,4 @@ def nerve_pushforward_matrix(ctx_src, ctx_tgt, f, n):
         return {(o2, tuple(k for k, _ in combo)): prod(v for _, v in combo)
                 for combo in product(*parts)}
 
-    return basis.matrix(ctx_tgt.nerve.basis[n], image, ctx_src.domain)
+    return basis.matrix(tgt.basis[n], image, src.domain)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import coarsehom.chains as chains_module
 import coarsehom.homology as homology_module
+import coarsehom.trace as trace_module
 from coarsehom.axioms import (
     _acyclic_degrees,
     _iterated_cone,
@@ -56,6 +58,21 @@ def test_invariance_rejects_a_non_equivalence():
     assert "not a coarse equivalence" in report.details[0]
 
 
+def test_coarse_invariance_builds_each_chain_complex_once(monkeypatch):
+    built = []
+    init = chains_module.CoarseChainComplex.__init__
+
+    def counting(self, space, *args, **kwargs):
+        built.append(space)
+        init(self, space, *args, **kwargs)
+
+    monkeypatch.setattr(chains_module.CoarseChainComplex, "__init__", counting)
+    f = collapse_equivalence()
+    assert check_coarse_invariance(f, max_degree=3).ok
+    assert len(built) == 2
+    assert {id(sp) for sp in built} == {id(f.source), id(f.target)}
+
+
 def test_cone_machinery_sees_integral_failure():
     # multiplication by two on the point: a betti-level iso whose cone has torsion
     d = [Matrix.zeros(0, 1, ZZ), Matrix.zeros(1, 1, ZZ), Matrix.zeros(1, 1, ZZ)]
@@ -81,6 +98,16 @@ def test_excision_with_overlap():
     assert report.ok, report.details
 
 
+def test_excision_builds_no_trace_context(monkeypatch):
+    # the nerve half of the check needs the four nerves and their b, not phi
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("check_excision built a TraceContext")
+
+    monkeypatch.setattr(trace_module.TraceContext, "__init__", refuse)
+    report = check_excision(two_components(), ["a", "b"], ["c"], max_degree=3)
+    assert report.ok, report.details
+
+
 def test_excision_rejects_a_non_pair():
     space = two_components()
     report = check_excision(space, ["a"], ["c"])
@@ -98,6 +125,16 @@ def test_u_continuity_counts_needed_generators():
     space = two_components()
     report = check_u_continuity(space)
     assert report.ok
+    assert "after 1 of 1" in report.details[-1]
+
+
+def test_u_continuity_on_an_integer_labelled_space():
+    # labels 0, 2, 1, 3 at positions 0..3: read as positions, the restricted
+    # generators would join each point to its translate
+    space = GBornCoarseSpace([0, 2, 1, 3], [(0, 2)], cyclic_group(2),
+                             [[0, 1, 2, 3], [1, 0, 3, 2]])
+    report = check_u_continuity(space)
+    assert report.ok, report.details
     assert "after 1 of 1" in report.details[-1]
 
 

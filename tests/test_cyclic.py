@@ -210,6 +210,21 @@ def test_only_cyclic_reads_hom_spaces():
     assert offenders == []
 
 
+def test_each_complex_has_one_builder():
+    # the nerve's mixed complex is built by `homology.space_mixed_complex`
+    # and the coarse boundaries by `chains`; everyone else reads those
+    owners = {"additive_cyclic_nerve": "homology.py", "to_mixed": "homology.py",
+              "_boundary_on": "chains.py"}
+    offenders = []
+    for path in sorted(Path(cyclic_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in owners and owners[name] != path.name:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def test_degree_out_of_range():
     mix = to_mixed(algebra_cyclic_module(algebra_of(point_space()), 2))
     with pytest.raises(ValueError, match="out of range"):

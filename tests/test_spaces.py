@@ -1,6 +1,6 @@
 import pytest
 
-from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
+from coarsehom.groups import FiniteGroup, cyclic_group, symmetric_group, trivial_group
 from coarsehom.spaces import (
     GBornCoarseSpace,
     SpaceMap,
@@ -110,6 +110,37 @@ def test_restrict_entourage():
     with pytest.raises(ValueError):
         # the swap sends (p, q) to (q, p), so the singleton pair set is not invariant
         restrict_entourage(z2, [("p", "q")])
+
+
+def components_by_label(x):
+    return [[x.points[i] for i in comp] for comp in x.components()]
+
+
+def test_restrict_entourage_of_an_integer_labelled_space():
+    # the labels are a permutation of the positions, so reading one as the
+    # other puts the wrong points together
+    x = GBornCoarseSpace([2, 0, 1], [(0, 1)], trivial_group(), [[0, 1, 2]])
+    xu = restrict_entourage(x, [(0, 1)])
+    assert components_by_label(xu) == [[2, 0], [1]]
+    assert xu.bornology_generators == x.bornology_generators
+
+
+def test_subspace_of_an_integer_labelled_space():
+    x = GBornCoarseSpace([0, 1, 2], [(0, 1), (0, 2)], trivial_group(), [[0, 1, 2]])
+    z = subspace(x, [1, 2])
+    assert z.points == [1, 2]
+    assert components_by_label(z) == [[1, 2]]
+
+
+def test_default_bornology_of_an_integer_labelled_space():
+    x = GBornCoarseSpace([1, 2, 3], [(0, 1)], trivial_group(), [[0, 1, 2]])
+    assert x.bornology_generators == tuple(frozenset([i]) for i in range(3))
+
+
+def test_g_can_min_of_an_integer_labelled_group():
+    x = g_can_min(FiniteGroup([5, 6], [[0, 1], [1, 0]]))
+    assert x.points == [5, 6]
+    assert components_by_label(x) == [[5, 6]]
 
 
 def test_tensor():

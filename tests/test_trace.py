@@ -103,6 +103,7 @@ def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
 
     monkeypatch.setattr(chains_module, "controlled_tuple_basis", no_enumeration)
     assert [ctx.boundary_matrix(n) for n in range(ctx.max_degree + 1)] == expected
+    assert all(ctx.boundary_matrix(n) is ctx.chains.d[n] for n in range(ctx.max_degree + 1))
     with pytest.raises(ValueError, match="degree"):
         ctx.boundary_matrix(ctx.max_degree + 1)
 
@@ -249,7 +250,7 @@ def test_nerve_pushforward_commutes_with_phi():
     cy = TraceContext(y, QQ, max_degree=2)
     for n in range(3):
         push_chain = pushforward_matrix(f, n, domain=QQ)
-        push_nerve = nerve_pushforward_matrix(cx, cy, f, n)
+        push_nerve = nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n)
         left = push_chain @ cx.phi_matrix(n)
         right = cy.phi_matrix(n) @ push_nerve
         assert left.to_dense() == right.to_dense()
@@ -266,7 +267,7 @@ def test_nerve_pushforward_is_a_map_of_cyclic_modules(setup, domain):
     x, y, f = setup()
     cx = TraceContext(x, domain, max_degree=3)
     cy = TraceContext(y, domain, max_degree=3)
-    push = [nerve_pushforward_matrix(cx, cy, f, n) for n in range(4)]
+    push = [nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n) for n in range(4)]
     assert not any(p.is_zero() for p in push)
     for n in range(4):
         assert push[n] @ cx.nerve.cyclic(n) == cy.nerve.cyclic(n) @ push[n]
@@ -282,7 +283,7 @@ def test_nerve_pushforward_checks_endpoints():
     cx = TraceContext(x, QQ, max_degree=1)
     cy = TraceContext(y, QQ, max_degree=1)
     with pytest.raises(ValueError, match="endpoints"):
-        nerve_pushforward_matrix(cy, cx, f, 0)
+        nerve_pushforward_matrix(cy.nerve, cx.nerve, f, 0)
 
 
 # -- guards ---------------------------------------------------------------------
