@@ -22,13 +22,12 @@ from .bar_oracle import bar_complex, bar_hc, bar_hh
 from .chains import (
     ControlledChain,
     CoarseChainComplex,
+    TupleChainComplex,
     basis_chain,
-    boundary,
     boundary_of_chain,
     chain_pushforward,
     controlled_tuple_basis,
     pushforward_matrix,
-    xh,
 )
 from .controlled import (
     ControlledMorphism,

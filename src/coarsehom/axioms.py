@@ -101,7 +101,7 @@ def check_coarse_invariance(f, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
         details.append(f"hochschild profiles differ: {nx[0]} vs {ny[0]}")
     if nx[1] != ny[1]:
         details.append(f"cyclic profiles differ: {nx[1]} vs {ny[1]}")
-    push = [pushforward_matrix(f, n, chain_domain) for n in range(max_degree + 1)]
+    push = [pushforward_matrix(cx, cy, f, n) for n in range(max_degree + 1)]
     cone = _iterated_cone([cy.d, cx.d], [push], max_degree, chain_domain)
     details += [f"cone {line}" for line in _acyclic_degrees(cone, max_degree)]
     return AxiomReport("coarse_invariance", not details, details)
@@ -144,10 +144,10 @@ def check_excision(space, z, y, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
     ia = SpaceMap(ab_space, a_space, [pos_a[p] for p in ab_idx])
     ib = SpaceMap(ab_space, b_space, [pos_b[p] for p in ab_idx])
     spaces = (space, a_space, b_space, ab_space)
-    d = [CoarseChainComplex(sp, max_degree, chain_domain).d for sp in spaces]
-    cone = _excision_cone(d, (ja, jb, ia, ib),
-                          lambda f, n: pushforward_matrix(f, n, chain_domain),
-                          max_degree, chain_domain)
+    cx, ca, cb, cab = (CoarseChainComplex(sp, max_degree, chain_domain) for sp in spaces)
+    maps = ((ca, cx, ja), (cb, cx, jb), (cab, ca, ia), (cab, cb, ib))
+    cone = _excision_cone([c.d for c in (cx, ca, cb, cab)], maps,
+                          lambda m, n: pushforward_matrix(*m, n), max_degree, chain_domain)
     details += [f"ordinary {line}" for line in _acyclic_degrees(cone, max_degree)]
     mixed = [space_mixed_complex(sp, max_degree, nerve_domain) for sp in spaces]
     d = [[m.b(n) for n in range(max_degree + 1)] for m in mixed]

@@ -18,7 +18,20 @@ pushforward, and the trace's t, front insertion and phi) is built by one
 method: sum a plain image over each source orbit and collect it on the
 target basis, checking that it is constant on orbits.
 
-`CoarseChainComplex` is a `linalg.Complex`: it enumerates each basis once,
+XH is computed on the normalized (Moore) complex, `CoarseChainComplex`.
+A tuple with x_i = x_(i+1) is degenerate; the degenerate chains span an
+acyclic subcomplex (Eilenberg-Mac Lane), so the quotient by them has the
+same homology.  Its basis, `MooreBasis`, lists only the orbits of
+nondegenerate tuples, enumerated with each coordinate different from the
+one before, so the tuple cap counts nondegenerate representatives.  Its
+`collect` checks constancy on every orbit of an image and then drops the
+degenerate orbits, which are zero in the quotient.  Faces and
+pushforwards are simplicial, so they descend.  The trace alone uses
+`TupleChainComplex`, the same complex on every orbit: the chain-level t
+and front insertion do not descend to the quotient, and phi . B, which is
+nonzero on the full complex, vanishes on the quotient in degree 0.
+
+Either complex is a `linalg.Complex`: it enumerates each basis once,
 builds every boundary from those, and checks d^2 = 0 once.  Its homology
 over Z is reduce-then-SNF (betti plus torsion), and over a field a rank
 computation; either way each boundary is reduced once.
@@ -27,8 +40,9 @@ computation; either way each boundary is reduced once.
 from __future__ import annotations
 
 from itertools import product
+from operator import ne
 
-from .linalg import ZZ, Complex, InvariantError, Matrix, finished, homology_at
+from .linalg import ZZ, Complex, InvariantError, Matrix, finished
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
@@ -113,14 +127,23 @@ class OrbitBasis(list):
             for first in component:
                 if least[first] != first:
                     continue
-                for tail in product(component, repeat=n):
-                    tup = (first,) + tail
+                for tup in self._tuples(first, component, n):
                     if self.rep(tup) == tup:
                         self.append(tup)
                         if len(self) > cap:
                             raise ValueError(f"more than {cap} basis tuples in degree {n}")
         self.sort()
         self.index = {t: i for i, t in enumerate(self)}
+
+    @staticmethod
+    def _tuples(first, component, n):
+        """Every (n+1)-tuple from `first` into its component."""
+        return ((first,) + tail for tail in product(component, repeat=n))
+
+    @staticmethod
+    def _kept(tup):
+        """Whether tup's orbit is a basis element rather than zero in the quotient."""
+        return True
 
     def rep(self, tup):
         """The least tuple of tup's orbit."""
@@ -130,20 +153,24 @@ class OrbitBasis(list):
         return {tuple(map(g.__getitem__, tup)) for g in self._rows}
 
     def collect(self, plain, domain):
-        """Rewrite an invariant plain chain in orbit-sum coordinates."""
+        """Rewrite an invariant plain chain in orbit-sum coordinates.
+
+        Constancy is checked on every orbit of the chain, also on orbits
+        that are not basis elements; those are then dropped.
+        """
         col = {}
         seen = set()
         for tup in plain:
-            rep = self.rep(tup)
-            if rep in seen:
+            if tup in seen:
                 continue
-            seen.add(rep)
-            vals = {plain.get(member, domain.zero) for member in self.orbit(rep)}
+            orbit = self.orbit(tup)
+            seen |= orbit
+            vals = {plain.get(member, domain.zero) for member in orbit}
             if len(vals) != 1:
-                raise InvariantError("an invariant chain is constant on orbits", len(rep) - 1)
+                raise InvariantError("an invariant chain is constant on orbits", len(tup) - 1)
             v = vals.pop()
-            if v != domain.zero:
-                col[self.index[rep]] = v
+            if v != domain.zero and self._kept(tup):
+                col[self.index[min(orbit)]] = v
         return col
 
     def matrix(self, target, image, domain):
@@ -162,12 +189,41 @@ class OrbitBasis(list):
         return Matrix.from_columns(cols, len(target), domain)
 
 
-def controlled_tuple_basis(space, n, cap=DEFAULT_TUPLE_CAP):
-    """Ordered degree-n basis of orbit representatives.
+class MooreBasis(OrbitBasis):
+    """The normalized degree-n basis: the orbits of tuples with no x_i = x_(i+1).
+
+    Degenerate tuples span a subcomplex with zero homology, so the quotient
+    (the Moore complex) has the homology of the full complex.  Only
+    nondegenerate tuples are enumerated, so the cap counts them; `collect`
+    drops the degenerate orbits of an image, which are zero in the quotient.
+    """
+
+    @staticmethod
+    def _tuples(first, component, n):
+        """Every (n+1)-tuple from `first` into its component whose neighbours differ."""
+        others = {x: [y for y in component if y != x] for x in component}
+
+        def grow(prefix, k):
+            if k == n:
+                yield prefix
+                return
+            for x in others[prefix[-1]]:
+                yield from grow(prefix + (x,), k + 1)
+
+        return grow((first,), 0)
+
+    @staticmethod
+    def _kept(tup):
+        return all(map(ne, tup, tup[1:]))
+
+
+def controlled_tuple_basis(space, n, cap=DEFAULT_TUPLE_CAP, kind=OrbitBasis):
+    """Ordered degree-n basis of orbit representatives, of every controlled
+    tuple (`OrbitBasis`) or of the nondegenerate ones (`MooreBasis`).
 
     The cap bounds the number of representatives.
     """
-    return OrbitBasis(space, n, cap)
+    return kind(space, n, cap)
 
 
 def basis_chain(space, tup, domain):
@@ -195,9 +251,13 @@ def _boundary_on(n, basis_n, basis_prev, domain):
 
 
 def boundary(space, n, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
-    """Matrix of the alternating face sum from degree n to degree n - 1."""
-    basis_n = controlled_tuple_basis(space, n, cap)
-    basis_prev = controlled_tuple_basis(space, n - 1, cap) if n else []
+    """The normalized boundary from degree n to n - 1, as `CoarseChainComplex.d[n]`.
+
+    It enumerates both bases again; read the complex's `d` instead.  The
+    name stays because the benchmark's tracer wraps it.
+    """
+    basis_n = controlled_tuple_basis(space, n, cap, MooreBasis)
+    basis_prev = controlled_tuple_basis(space, n - 1, cap, MooreBasis) if n else []
     return _boundary_on(n, basis_n, basis_prev, domain)
 
 
@@ -213,29 +273,37 @@ def boundary_of_chain(c):
 
 
 class CoarseChainComplex(Complex):
-    """Bases and boundary matrices up to a degree cap, as a `Complex`."""
+    """The normalized (Moore) chain complex up to a degree cap, as a `Complex`.
+
+    Its bases are `basis_kind` bases, each enumerated once, and its
+    boundaries are built on them and checked for d^2 = 0 once.
+    """
+
+    basis_kind = MooreBasis
+    name = "coarse chain complex"
 
     def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
         self.space = space
-        self.bases = [controlled_tuple_basis(space, n, cap) for n in range(max_degree + 1)]
+        self.bases = [controlled_tuple_basis(space, n, cap, self.basis_kind)
+                      for n in range(max_degree + 1)]
         super().__init__(
             [
                 _boundary_on(n, self.bases[n], self.bases[n - 1] if n else [], domain)
                 for n in range(max_degree + 1)
             ],
-            "coarse chain complex",
+            self.name,
         )
 
 
-def xh(space, n, domain=ZZ, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_TUPLE_CAP):
-    """Coarse ordinary homology at degree n (Z by default, or a field)."""
-    if not (0 <= n <= max_degree - 1):
-        raise ValueError(f"degree {n} out of range (need n + 1 <= {max_degree})")
-    prev, basis, up = (controlled_tuple_basis(space, k, cap) if k >= 0 else []
-                       for k in (n - 1, n, n + 1))
-    d_out = _boundary_on(n, basis, prev, domain)
-    d_in = _boundary_on(n + 1, up, basis, domain)
-    return homology_at(d_out, d_in, degree=n)
+class TupleChainComplex(CoarseChainComplex):
+    """The unnormalized complex on every controlled tuple, degenerate ones included.
+
+    Only the trace uses it: the chain-level t and front insertion do not
+    descend to the Moore quotient, and phi . B is not zero on it.
+    """
+
+    basis_kind = OrbitBasis
+    name = "tuple chain complex"
 
 
 def chain_pushforward(f, c):
@@ -250,11 +318,18 @@ def chain_pushforward(f, c):
     return ControlledChain(f.target, c.degree, out, c.domain, check=False)
 
 
-def pushforward_matrix(f, n, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
-    """Matrix of the degree-n pushforward in the chosen bases."""
+def pushforward_matrix(src, tgt, f, n):
+    """Matrix of f_* in degree n from the complex `src` to `tgt`, on their bases.
+
+    A simplicial map sends degenerate tuples to degenerate tuples, so f_*
+    descends to the Moore complexes; both complexes must be of one kind.
+    """
+    if src.space is not f.source or tgt.space is not f.target:
+        raise ValueError("map endpoints do not match the complexes' spaces")
+    if src.basis_kind is not tgt.basis_kind or src.domain is not tgt.domain:
+        raise ValueError("chain pushforward joins two complexes of one kind and domain")
     rep = is_morphism(f)
     if not rep.ok:
         raise ValueError(f"chain pushforward needs a valid morphism: {rep.violations}")
-    src = controlled_tuple_basis(f.source, n, cap)
-    tgt = controlled_tuple_basis(f.target, n, cap)
-    return src.matrix(tgt, lambda tup: {tuple(map(f, tup)): domain.one}, domain)
+    one = src.domain.one
+    return src.bases[n].matrix(tgt.bases[n], lambda tup: {tuple(map(f, tup)): one}, src.domain)

@@ -249,14 +249,21 @@ class CyclicModule:
         return self._cyc[n]
 
     def check_identities(self):
-        """Simplicial identities, t^(n+1) = 1, and d_i t = -t d_(i-1)."""
-        for n in range(2, self.max_degree + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i) @ self.face(n, j)
-                    rhs = self.face(n - 1, j - 1) @ self.face(n, i)
-                    if lhs != rhs:
-                        raise InvariantError(f"simplicial identity d_{i} d_{j}", n)
+        """t^(n+1) = 1, d_i t = -t d_(i-1), and the simplicial identities.
+
+        Of the simplicial identities d_i d_j = d_(j-1) d_i (i < j) only those
+        with i = 0 are checked, n per degree instead of n(n+1)/2; the cyclic
+        identities, checked first, give the rest.  Applying d_k t = -t d_(k-1)
+        i times, with t invertible since t^(n+1) = 1, gives
+        d_j = (-1)^i t^i d_(j-i) t^(-i) in every degree and for j >= i, so
+        for i < j
+
+            d_i d_j = t^i (d_0 d_(j-i)) t^(-i)   and
+            d_(j-1) d_i = t^i (d_(j-i-1) d_0) t^(-i),
+
+        the signs cancelling in pairs.  So d_i d_j = d_(j-1) d_i is
+        d_0 d_k = d_(k-1) d_0 for k = j - i, conjugated by t^i.
+        """
         for n in range(self.max_degree + 1):
             t = self.cyclic(n)
             acc = Matrix.identity(self.dims[n], self.domain)
@@ -272,6 +279,11 @@ class CyclicModule:
                 rhs = (t_prev @ self.face(n, i - 1)).scale(-1)
                 if lhs != rhs:
                     raise InvariantError(f"cyclic compatibility d_{i} t = -t d_{i - 1}", n)
+        for n in range(2, self.max_degree + 1):
+            d_0 = self.face(n - 1, 0)
+            for j in range(1, n + 1):
+                if d_0 @ self.face(n, j) != self.face(n - 1, j - 1) @ self.face(n, 0):
+                    raise InvariantError(f"simplicial identity d_0 d_{j}", n)
         return True
 
 

@@ -9,8 +9,10 @@ walking the block supports only, so the cost tracks the sparsity of the
 morphisms.  The image is an invariant chain; phi_matrix expresses it in
 orbit-sum coordinates.  A `TraceContext` is the two complexes phi joins,
 each from its one builder: the nerve's mixed complex from
-`homology.space_mixed_complex` and the coarse chain complex from
-`chains.CoarseChainComplex`, whose bases and boundaries it reads.  Nerve
+`homology.space_mixed_complex` and the full tuple complex
+`chains.TupleChainComplex`, whose bases and boundaries it reads.  It is
+the unnormalized complex, not XH's Moore quotient: t and the front
+insertion below do not descend to the quotient.  Nerve
 keys and their factors are read through `cyclic.NerveBasis`, and the nerve
 pushforward CN(f_*), a map of cyclic modules, is one `NerveBasis.matrix`
 call between two nerves.
@@ -31,7 +33,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .chains import CoarseChainComplex, ControlledChain, controlled_tuple_basis
+from .chains import ControlledChain, TupleChainComplex, controlled_tuple_basis
 from .controlled import orbit_objects, pushforward_morphism
 from .cyclic import DEFAULT_MAX_DEGREE, connes_operator
 from .homology import space_mixed_complex
@@ -53,7 +55,7 @@ class TraceContext:
         self.mixed = space_mixed_complex(space, max_degree, domain, objects)
         self.nerve = self.mixed.source
         self.objects = self.nerve.data.objects
-        self.chains = CoarseChainComplex(space, max_degree, domain)
+        self.chains = TupleChainComplex(space, max_degree, domain)
         self._phi_cols = [None] * (max_degree + 1)
 
     # -- phi ---------------------------------------------------------------

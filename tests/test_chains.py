@@ -7,16 +7,17 @@ import pytest
 
 import coarsehom.chains as chains_module
 import coarsehom.linalg as linalg_module
+from coarsehom.axioms import random_space
 from coarsehom.chains import (
     ControlledChain,
     CoarseChainComplex,
+    MooreBasis,
+    TupleChainComplex,
     basis_chain,
-    boundary,
     boundary_of_chain,
     chain_pushforward,
     controlled_tuple_basis,
     pushforward_matrix,
-    xh,
 )
 from coarsehom.groups import (
     cyclic_group,
@@ -37,25 +38,35 @@ def single_component(k):
     return GBornCoarseSpace(list(range(k)), gens, trivial_group(), [list(range(k))])
 
 
+def both_complexes(space, max_degree, domain=ZZ):
+    return [kind(space, max_degree, domain) for kind in (CoarseChainComplex, TupleChainComplex)]
+
+
+def profile(cx):
+    return [(h.betti, h.torsion) for h in map(cx.homology, range(cx.max_degree))]
+
+
 def test_point_bases_and_homology():
     pt = point_space()
     for n in range(4):
         assert controlled_tuple_basis(pt, n) == [(0,) * (n + 1)]
-    assert xh(pt, 0).betti == 1 and xh(pt, 0).torsion == ()
-    for n in range(1, 3):
-        assert xh(pt, n).betti == 0 and xh(pt, n).torsion == ()
+        assert controlled_tuple_basis(pt, n, kind=MooreBasis) == ([(0,)] if n == 0 else [])
+    for cx in both_complexes(pt, 3):
+        assert profile(cx) == [(1, ()), (0, ()), (0, ())]
 
 
 def test_two_point_component_tuple_count():
     x = single_component(2)
     assert len(controlled_tuple_basis(x, 1)) == 4
+    assert controlled_tuple_basis(x, 1, kind=MooreBasis) == [(0, 1), (1, 0)]
 
 
 def test_boundary_of_edge():
-    x = single_component(2)
-    d1 = boundary(x, 1, domain=ZZ)
+    moore, full = both_complexes(single_component(2), 1)
     # columns: (0,0), (0,1), (1,0), (1,1); rows: (0,), (1,)
-    assert d1.to_dense() == [[0, -1, 1, 0], [0, 1, -1, 0]]
+    assert full.d[1].to_dense() == [[0, -1, 1, 0], [0, 1, -1, 0]]
+    # the degenerate columns (0,0) and (1,1) are gone
+    assert moore.d[1].to_dense() == [[-1, 1], [1, -1]]
 
 
 def test_unrelated_tuple_excluded_and_rejected():
@@ -73,45 +84,50 @@ def test_invariant_basis_of_z2_on_itself():
 
 def test_invariant_xh_of_z2_canmin():
     x = g_can_min(cyclic_group(2))
-    h0 = xh(x, 0, domain=ZZ)
-    assert h0.betti == 1 and h0.torsion == ()
-    h1 = xh(x, 1, domain=ZZ)
-    # group homology of Z/2 shows up in the invariant complex
-    assert h1.betti == 0 and h1.torsion == (2,)
-    assert xh(x, 0, domain=QQ).betti == 1
+    for cx in both_complexes(x, 2):
+        h0, h1 = cx.homology(0), cx.homology(1)
+        assert h0.betti == 1 and h0.torsion == ()
+        # group homology of Z/2 shows up in the invariant complex
+        assert h1.betti == 0 and h1.torsion == (2,)
+    for cx in both_complexes(x, 1, QQ):
+        assert cx.homology(0).betti == 1
 
 
 def test_plain_xh_counts_components():
     two = GBornCoarseSpace(["a", "b"], [], trivial_group(), [[0, 1]])
-    assert xh(two, 0).betti == 2
-    assert xh(single_component(3), 0).betti == 1
+    for cx in both_complexes(two, 1):
+        assert cx.homology(0).betti == 2
+    for cx in both_complexes(single_component(3), 1):
+        assert cx.homology(0).betti == 1
 
 
-def cone_homotopy(space, n):
-    """H_n: C_n -> C_(n+1), prepend the least point of the single component."""
-    basis_n = controlled_tuple_basis(space, n)
-    basis_up = controlled_tuple_basis(space, n + 1)
-    index = {t: i for i, t in enumerate(basis_up)}
+def cone_homotopy(cx, n):
+    """H_n: C_n -> C_(n+1), prepend the least point of the single component.
+
+    H sends degenerate tuples to degenerate tuples, so it descends to the
+    Moore complex, where (0, 0, ...) is zero."""
+    basis_n, basis_up = cx.bases[n], cx.bases[n + 1]
     p = 0
-    cols = [{index[(p,) + tup]: 1} for tup in basis_n]
+    moore = cx.basis_kind is MooreBasis
+    cols = [{} if moore and tup[0] == p else {basis_up.index[(p,) + tup]: 1} for tup in basis_n]
     return Matrix.from_columns(cols, len(basis_up), ZZ)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_single_component_contractible_with_certificate(k):
-    x = single_component(k)
-    for n in range(1, 3):
-        h = xh(x, n)
-        assert h.betti == 0 and h.torsion == ()
-        lhs = boundary(x, n + 1, ZZ) @ cone_homotopy(x, n) + cone_homotopy(x, n - 1) @ boundary(x, n, ZZ)
-        dim = len(controlled_tuple_basis(x, n))
-        assert lhs == Matrix.identity(dim, ZZ)
+    for cx in both_complexes(single_component(k), 3):
+        for n in range(1, 3):
+            h = cx.homology(n)
+            assert h.betti == 0 and h.torsion == ()
+            lhs = cx.d[n + 1] @ cone_homotopy(cx, n) + cone_homotopy(cx, n - 1) @ cx.d[n]
+            assert lhs == Matrix.identity(cx.dims[n], ZZ)
 
 
 def test_complex_builder_checks_d_squared():
-    cx = CoarseChainComplex(single_component(3), max_degree=3, domain=ZZ)
+    moore, cx = both_complexes(single_component(3), 3)
     assert cx.dims == [3, 9, 27, 81]
-    assert cx.homology(0).betti == 1
+    assert moore.dims == [3, 6, 12, 24]
+    assert cx.homology(0).betti == moore.homology(0).betti == 1
     with pytest.raises(ValueError, match="out of range"):
         cx.homology(3)
     one = Matrix.from_dense([[1]], ZZ)
@@ -163,19 +179,27 @@ def _counted_bases(monkeypatch):
 def test_complex_enumerates_each_basis_once(monkeypatch):
     calls = _counted_bases(monkeypatch)
     x = g_can_min(cyclic_group(3))
-    cx = CoarseChainComplex(x, max_degree=4, domain=ZZ)
-    assert sorted(calls) == [0, 1, 2, 3, 4]
+    built = both_complexes(x, 4)
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
     monkeypatch.undo()
-    for n in range(5):
-        assert cx.d[n] == boundary(x, n, ZZ)
+    for cx in built:
+        fresh = type(cx)(x, max_degree=4, domain=ZZ)
+        assert [b.degree for b in cx.bases] == [0, 1, 2, 3, 4]
+        assert all(type(b) is cx.basis_kind for b in cx.bases)
+        assert cx.d == fresh.d
 
 
-@pytest.mark.parametrize("n, degrees, expected", [(0, [0, 1], (1, ())), (2, [1, 2, 3], (0, ()))])
-def test_xh_enumerates_each_degree_once(monkeypatch, n, degrees, expected):
+def test_pushforward_reads_the_complexes_bases(monkeypatch):
+    g = cyclic_group(2)
+    f = SpaceMap(g_can_min(g), point_space(g), [0, 0])
+    src, tgt = (CoarseChainComplex(sp, 2, QQ) for sp in (f.source, f.target))
     calls = _counted_bases(monkeypatch)
-    h = xh(g_can_min(cyclic_group(3)), n)
-    assert calls == degrees
-    assert (h.betti, h.torsion) == expected
+    push = [pushforward_matrix(src, tgt, f, n) for n in range(3)]
+    assert calls == []
+    # (0,) goes to twice the point; every tuple of degree >= 1 lands on a
+    # degenerate one, which is zero in the Moore complex
+    assert push[0].to_dense() == [[2]]
+    assert push[1].nrows == push[2].nrows == 0 and push[1].ncols == 1
 
 
 def test_chain_sum_rejects_a_domain_mismatch():
@@ -189,8 +213,26 @@ def test_chain_sum_rejects_a_domain_mismatch():
     assert (q + q).coefficients == {(0,): 2}
 
 
+def test_ordinary_profile_of_z4_to_degree_seven():
+    # the Moore complex has 3^7 = 2187 top representatives (4^7 = 16384 tuples)
+    cx = CoarseChainComplex(g_can_min(cyclic_group(4)), 7, ZZ)
+    assert cx.dims[7] == 2187
+    assert profile(cx) == [
+        (1, ()), (0, (4,)), (0, ()), (0, (4,)), (0, ()), (0, (4,)), (0, ()),
+    ]
+
+
+@pytest.mark.slow
+def test_ordinary_profile_of_s3_to_degree_six():
+    # H_n(S_3; Z) = Z, Z/2, 0, Z/6, 0, Z/2: 15,625 top representatives
+    profile = ordinary_profile(g_can_min(symmetric_group(3)), 6, ZZ)
+    assert [(h.betti, h.torsion) for h in profile] == [
+        (1, ()), (0, (2,)), (0, ()), (0, (6,)), (0, ()), (0, (2,)),
+    ]
+
+
 def test_ordinary_profile_of_z4_to_degree_six():
-    # H_n(Z/4; Z) = Z, Z/4, 0, Z/4, 0, Z/4: the degree-6 boundary (1024 x 4096)
+    # H_n(Z/4; Z) = Z, Z/4, 0, Z/4, 0, Z/4: the degree-6 boundary (243 x 729)
     # leaves one non-unit factor after its unit pivots
     profile = ordinary_profile(g_can_min(cyclic_group(4)), 6, ZZ)
     assert [(h.betti, h.torsion) for h in profile] == [
@@ -204,21 +246,30 @@ def test_random_spaces_have_square_zero_boundary():
         npts = rng.randint(1, 5)
         gens = [(rng.randrange(npts), rng.randrange(npts)) for _ in range(rng.randint(0, 3))]
         x = GBornCoarseSpace(list(range(npts)), gens, trivial_group(), [list(range(npts))])
-        CoarseChainComplex(x, max_degree=3, domain=ZZ)
-        CoarseChainComplex(x, max_degree=3, domain=QQ)
+        for domain in (ZZ, QQ):
+            both_complexes(x, 3, domain)
+
+
+def _nondegenerate_part(c):
+    kept = {t: v for t, v in c.coefficients.items() if all(a != b for a, b in zip(t, t[1:]))}
+    return ControlledChain(c.space, c.degree, kept, c.domain, check=False)
 
 
 def test_basis_chain_matches_boundary_matrix():
+    # the plain-tuple route is an independent oracle for both boundaries;
+    # on the Moore complex the degenerate faces of a chain are zero
     x = g_can_min(cyclic_group(3))
-    basis1 = controlled_tuple_basis(x, 1)
-    basis0 = controlled_tuple_basis(x, 0)
-    d1 = boundary(x, 1, domain=ZZ)
-    for j, rep in enumerate(basis1):
-        via_chain = boundary_of_chain(basis_chain(x, rep, ZZ))
-        from_matrix = ControlledChain(x, 0, {}, ZZ)
-        for i, val in d1.column(j).items():
-            from_matrix = from_matrix + basis_chain(x, basis0[i], ZZ).scale(val)
-        assert via_chain == from_matrix
+    for cx in both_complexes(x, 2):
+        moore = cx.basis_kind is MooreBasis
+        for n in (1, 2):
+            for j, rep in enumerate(cx.bases[n]):
+                via_chain = boundary_of_chain(basis_chain(x, rep, ZZ))
+                if moore:
+                    via_chain = _nondegenerate_part(via_chain)
+                from_matrix = ControlledChain(x, n - 1, {}, ZZ)
+                for i, val in cx.d[n].column(j).items():
+                    from_matrix = from_matrix + basis_chain(x, cx.bases[n - 1][i], ZZ).scale(val)
+                assert via_chain == from_matrix
 
 
 def test_pushforward_identity_and_collapse():
@@ -258,10 +309,25 @@ def test_equivariant_pushforward_preserves_invariance():
 def test_pushforward_matrix_mod_two_collapse():
     g = cyclic_group(2)
     f = SpaceMap(g_can_min(g), point_space(g), [0, 0])
-    m = pushforward_matrix(f, 0, domain=GF(2))
-    assert m.is_zero()  # the orbit sum has two members, and 2 = 0 in F_2
-    m_q = pushforward_matrix(f, 0, domain=QQ)
-    assert m_q.to_dense() == [[2]]
+    for kind in (CoarseChainComplex, TupleChainComplex):
+        src, tgt = (kind(sp, 0, GF(2)) for sp in (f.source, f.target))
+        m = pushforward_matrix(src, tgt, f, 0)
+        assert m.is_zero()  # the orbit sum has two members, and 2 = 0 in F_2
+        src, tgt = (kind(sp, 0, QQ) for sp in (f.source, f.target))
+        m_q = pushforward_matrix(src, tgt, f, 0)
+        assert m_q.to_dense() == [[2]]
+
+
+def test_pushforward_needs_matching_complexes():
+    g = cyclic_group(2)
+    f = SpaceMap(g_can_min(g), point_space(g), [0, 0])
+    src, tgt = CoarseChainComplex(f.source, 1, QQ), CoarseChainComplex(f.target, 1, QQ)
+    with pytest.raises(ValueError, match="endpoints"):
+        pushforward_matrix(tgt, src, f, 0)
+    with pytest.raises(ValueError, match="one kind"):
+        pushforward_matrix(src, TupleChainComplex(f.target, 1, QQ), f, 0)
+    with pytest.raises(ValueError, match="one kind"):
+        pushforward_matrix(src, CoarseChainComplex(f.target, 1, GF(3)), f, 0)
 
 
 def test_pushforward_needs_morphism():
@@ -273,8 +339,9 @@ def test_pushforward_needs_morphism():
 
 
 def test_degree_guard():
-    with pytest.raises(ValueError, match="out of range"):
-        xh(point_space(), 4)
+    for cx in both_complexes(point_space(), 4):
+        with pytest.raises(ValueError, match="out of range"):
+            cx.homology(4)
 
 
 def test_collecting_a_chain_not_constant_on_orbits_is_an_internal_error():
@@ -284,6 +351,15 @@ def test_collecting_a_chain_not_constant_on_orbits_is_an_internal_error():
     assert basis.collect({(0,): 1, (1,): 1}, QQ) == {0: 1}
     with pytest.raises(InvariantError, match="constant on orbits fails in degree 0"):
         basis.collect({(0,): 1}, QQ)
+
+
+def test_moore_collect_checks_degenerate_orbits_before_dropping_them():
+    x = g_can_min(cyclic_group(2))
+    basis = controlled_tuple_basis(x, 1, kind=MooreBasis)
+    assert basis == [(0, 1)]
+    assert basis.collect({(0, 0): 1, (1, 1): 1, (0, 1): 3, (1, 0): 3}, QQ) == {0: 3}
+    with pytest.raises(InvariantError, match="constant on orbits fails in degree 1"):
+        basis.collect({(0, 0): 1, (0, 1): 3, (1, 0): 3}, QQ)
 
 
 def _joined(x):
@@ -300,7 +376,7 @@ def _brute_force_basis(space, n):
     return sorted(reps)
 
 
-@pytest.mark.parametrize("make", [
+BRUTE_FORCE_SPACES = [
     lambda: g_can_min(symmetric_group(3)),
     lambda: coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z3")),
     lambda: coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z2")),
@@ -308,7 +384,11 @@ def _brute_force_basis(space, n):
     # one component, so a stabilizer moves the later coordinates
     lambda: GBornCoarseSpace(["p", "q", "r"], [(0, 2)], cyclic_group(2), [[0, 1, 2], [1, 0, 2]]),
     lambda: _joined(coset_space(named_group("s3"), named_subgroup(named_group("s3"), "z2"))),
-], ids=["s3", "s3/z3", "s3/z2", "swap", "swap-joined", "s3/z2-joined"])
+]
+BRUTE_FORCE_IDS = ["s3", "s3/z3", "s3/z2", "swap", "swap-joined", "s3/z2-joined"]
+
+
+@pytest.mark.parametrize("make", BRUTE_FORCE_SPACES, ids=BRUTE_FORCE_IDS)
 @pytest.mark.parametrize("equivariant", [True, False])
 def test_orbit_basis_matches_brute_force(make, equivariant):
     space = make() if equivariant else underlying(make())
@@ -321,12 +401,43 @@ def test_orbit_basis_matches_brute_force(make, equivariant):
                 assert basis.rep(t) in basis.index and t in basis.orbit(basis.rep(t))
 
 
+def _brute_force_moore_basis(space, n):
+    """The brute-force basis without the least tuples that have x_i = x_(i+1)."""
+    return [t for t in _brute_force_basis(space, n) if all(a != b for a, b in zip(t, t[1:]))]
+
+
+@pytest.mark.parametrize("make", BRUTE_FORCE_SPACES, ids=BRUTE_FORCE_IDS)
+@pytest.mark.parametrize("equivariant", [True, False])
+def test_moore_basis_matches_brute_force(make, equivariant):
+    space = make() if equivariant else underlying(make())
+    for n in range(4):
+        basis = controlled_tuple_basis(space, n, kind=MooreBasis)
+        assert basis == _brute_force_moore_basis(space, n)
+        assert all(basis.index[t] == i for i, t in enumerate(basis))
+
+
+def _homology_corpus():
+    spaces = [g_can_min(cyclic_group(k)) for k in (2, 3, 4)] + [m() for m in BRUTE_FORCE_SPACES]
+    rng = random.Random(0)
+    return spaces + [random_space(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(2), GF(3)], ids=["Z", "Q", "F2", "F3"])
+def test_moore_and_full_complexes_have_equal_homology(domain):
+    # the degenerate tuples span an acyclic subcomplex (Eilenberg-Mac Lane)
+    for space in _homology_corpus():
+        moore, full = both_complexes(space, 4, domain)
+        assert profile(moore) == profile(full)
+
+
 def test_cap_bounds_the_representatives():
-    # degree 3 of s3 has 6^4 = 1296 plain tuples but 216 orbit representatives
+    # degree 3 of s3 has 6^4 = 1296 plain tuples, 216 orbit representatives
+    # and 5^3 = 125 nondegenerate ones
     s3 = g_can_min(symmetric_group(3))
     assert len(controlled_tuple_basis(underlying(s3), 3)) == 1296
-    cx = CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=300)
-    assert len(cx.bases[3]) == 216
+    assert len(TupleChainComplex(s3, max_degree=3, domain=ZZ, cap=216).bases[3]) == 216
+    cx = CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=125)
+    assert len(cx.bases[3]) == 125
     assert [(h.betti, h.torsion) for h in (cx.homology(n) for n in range(3))] == [
         (1, ()), (0, (2,)), (0, ()),
     ]
@@ -334,6 +445,8 @@ def test_cap_bounds_the_representatives():
     real = Matrix.from_columns
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Matrix, "from_columns", lambda *a, **k: built.append(1) or real(*a, **k))
-        with pytest.raises(ValueError, match="more than 200"):
-            CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=200)
+        with pytest.raises(ValueError, match="more than 124"):
+            CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=124)
+        with pytest.raises(ValueError, match="more than 215"):
+            TupleChainComplex(s3, max_degree=3, domain=ZZ, cap=215)
     assert built == []

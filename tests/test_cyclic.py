@@ -17,7 +17,7 @@ from coarsehom.cyclic import (
     tot_B,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
-from coarsehom.linalg import GF, QQ, Matrix, finished, rank
+from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
 
 
@@ -157,6 +157,52 @@ def test_extra_outer_sign_breaks_identities(sign_flipped_mixed):
 def test_identity_suite_runs_at_construction():
     m = algebra_cyclic_module(algebra_of(two_points(False)), 3)
     assert m.check_identities()
+
+
+def _all_simplicial_pairs_hold(m):
+    """The pairwise oracle: d_i d_j = d_(j-1) d_i for every i < j."""
+    return all(
+        m.face(n - 1, i) @ m.face(n, j) == m.face(n - 1, j - 1) @ m.face(n, i)
+        for n in range(2, m.max_degree + 1) for j in range(n + 1) for i in range(j)
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 4),
+    lambda: additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(3)), GF(5)), 3),
+    lambda: additive_cyclic_nerve(orbit_objects(g_can_min(symmetric_group(3)), QQ), 3),
+    lambda: algebra_cyclic_module(algebra_of(two_points(True)), 3),
+], ids=["z2", "z3-F5", "s3", "two-points"])
+def test_identity_check_agrees_with_every_simplicial_pair(make):
+    m = make()
+    assert m.check_identities()
+    assert _all_simplicial_pairs_hold(m)
+
+
+def test_a_wrong_face_is_a_named_internal_error():
+    m = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 3)
+    wrong = m.face(2, 1).scale(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "face", lambda n, i: wrong if (n, i) == (2, 1) else type(m).face(m, n, i))
+        with pytest.raises(InvariantError, match="fails in degree 2") as err:
+            m.check_identities()
+    assert err.value.degree == 2
+
+
+def test_faces_conjugate_by_t_but_not_simplicial_are_caught():
+    # degree-2 faces rebuilt from a wrong d_0 as d_i = (-1)^i t^i d_0 t^(-i)
+    # pass every cyclic check, so only the d_0 d_j check can catch them
+    m = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 3)
+    t1, t2 = m.cyclic(1), m.cyclic(2)
+    bump = Matrix.zeros(m.dims[1], m.dims[2], QQ)
+    bump.set(0, 0, 1)
+    faces = [m.face(2, 0) + bump]
+    for i in (1, 2):
+        faces.append((t1 @ faces[-1] @ t2 @ t2).scale(-1))  # t2^(-1) = t2^2
+    m._faces[2] = faces
+    with pytest.raises(InvariantError, match="simplicial identity d_0 d_"):
+        m.check_identities()
+    assert not _all_simplicial_pairs_hold(m)
 
 
 # ----------------------------------------------------------- edge behavior

@@ -4,7 +4,7 @@ import pytest
 
 import coarsehom.chains as chains_module
 from coarsehom.axioms import random_equivalence
-from coarsehom.chains import ControlledChain, boundary, pushforward_matrix
+from coarsehom.chains import ControlledChain, TupleChainComplex, pushforward_matrix
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
 from coarsehom.linalg import GF, Matrix, QQ, kernel_basis, rank
@@ -96,7 +96,9 @@ def test_phi_intertwines_b_with_the_boundary(make):
 
 def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
     ctx = canmin_ctx(3)
-    expected = [boundary(ctx.space, n, QQ) for n in range(ctx.max_degree + 1)]
+    # the trace reads the full tuple complex, not the Moore quotient
+    assert type(ctx.chains) is TupleChainComplex
+    expected = TupleChainComplex(ctx.space, ctx.max_degree, QQ).d
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("boundary_matrix enumerated a basis again")
@@ -161,9 +163,10 @@ def test_chain_level_connes_operator_induces_zero_on_xh(space, domain):
     """The true weaker form of phi . B = 0: B_chain sends every n-cycle to a
     boundary, i.e. rank [d_(n+2) | B_chain K] = rank d_(n+2) for the cycle
     basis K = ker d_n, n = 0..2."""
+    chains = TupleChainComplex(space, 4, domain)
     for n in range(3):
-        d_n = boundary(space, n, domain=domain)
-        d_up = boundary(space, n + 2, domain=domain)
+        d_n = chains.d[n]
+        d_up = chains.d[n + 2]
         cycles = Matrix.from_columns(kernel_basis(d_n), d_n.ncols, domain)
         image = xc_connes_operator(space, n, domain) @ cycles
         assert rank(Matrix.block([[d_up, image]], domain)) == rank(d_up)
@@ -249,7 +252,7 @@ def test_nerve_pushforward_commutes_with_phi():
     cx = TraceContext(x, QQ, max_degree=2)
     cy = TraceContext(y, QQ, max_degree=2)
     for n in range(3):
-        push_chain = pushforward_matrix(f, n, domain=QQ)
+        push_chain = pushforward_matrix(cx.chains, cy.chains, f, n)
         push_nerve = nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n)
         left = push_chain @ cx.phi_matrix(n)
         right = cy.phi_matrix(n) @ push_nerve
