@@ -14,26 +14,39 @@ the degeneracies, the front insertion, and the trace's nerve pushforward)
 is one `matrix` call with an image function on keys.  Other modules read
 keys, factors and coordinates through it and the category data.
 
-Sign conventions (pinned by the identity suite below):
+XHH and XHC are computed on the normalized nerve,
+`normalized_mixed_complex`.  A key is degenerate when a factor j >= 1 is
+the identity of its object; the nerve data makes every identity a basis
+vector and checks the unit law, so the degenerate keys span the images of
+the degeneracies, a subcomplex with the same HH and HC as the whole
+(Eilenberg-Mac Lane).  `NormalizedNerveBasis` lists only the other keys,
+and its operators are b, from the face images, and B = sN: on the
+quotient t s N is zero, so the (1 - t) drops out (Loday 2.1.9).  The full
+nerve (`additive_cyclic_nerve`, `to_mixed`) is built only for the trace,
+the nerve pushforward and the identity suite.
+
+Sign conventions (pinned by the identity suite below, on the full nerve):
     d_i  composes adjacent factors, d_n wraps unsigned,
     t    = (-1)^n  x  cyclic rotation,
     b    = sum of (-1)^i d_i,
     B    = (1 - t) . (insert identity at the front) . N,   N = sum of t^i,
            one `connes_operator` for the nerve and for the trace's chains.
-The b-complex and the total complex are `linalg.Complex` values, so b^2 = 0
-and d^2 = 0 are checked once each, where they are built; `MixedComplex`
-adds B^2 = 0 and bB + Bb = 0.  A failed identity raises `InvariantError`
+On the normalized nerve b is the same sum and B = sN.  The b-complex and
+the total complex are `linalg.Complex` values, so b^2 = 0 and d^2 = 0 are
+checked once each, where they are built; `MixedComplex` adds B^2 = 0 and
+bB + Bb = 0, on either nerve.  A failed identity raises `InvariantError`
 with a convention diagnostic.  HH is the homology of the b-complex and HC
 that of the total complex, built on the first `hc` call.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .controlled import HomSpace, compose, identity_morphism
-from .linalg import QQ, Complex, InvariantError, Matrix
+from .linalg import QQ, Complex, InvariantError, Matrix, finished
 
 DEFAULT_MAX_DEGREE = 4
 DEFAULT_BASIS_CAP = 200_000
@@ -41,7 +54,15 @@ DEFAULT_BASIS_CAP = 200_000
 
 class _NerveData:
     """Hom-space dimensions, composition and unit coordinates for a nerve
-    (see `additive_cyclic_nerve` for the empty list and `domain`)."""
+    (see `additive_cyclic_nerve` for the empty list and `domain`).
+
+    The identity of every object is a basis vector of its End space: where
+    the solved basis spreads it as u = sum u_i e_i, the least e_k with
+    u_k != 0 is replaced by the identity, and coordinates are transformed
+    to match.  Both that and the unit law on the hom bases are checked
+    here; the unit law is what makes the keys with an identity factor a
+    subcomplex, so the normalized nerve rests on it.
+    """
 
     def __init__(self, objects, domain=None):
         if objects:
@@ -63,6 +84,14 @@ class _NerveData:
         self.hom = [[HomSpace(objects[s], objects[t]) for t in range(r)] for s in range(r)]
         self._comp = {}
         self._unit = {}
+        self._pivot = {}  # object -> (k, u): e_k of End(P_a) is the identity u
+        for a, ob in enumerate(self.objects):
+            u = self.hom[a][a].coordinates(identity_morphism(ob))
+            k = min(u, default=None)
+            if u and u != {k: domain.one}:
+                self._pivot[a] = (k, u)
+        self.unit_index = [self._unit_index(a) for a in range(r)]
+        self._check_unit_law()
 
     @property
     def count(self):
@@ -73,11 +102,23 @@ class _NerveData:
 
     def morphism(self, s, t, k):
         """Basis morphism k of Hom(P_s, P_t)."""
+        if s == t and s in self._pivot and self._pivot[s][0] == k:
+            return identity_morphism(self.objects[s])
         return self.hom[s][t].basis[k]
 
     def coordinates(self, s, t, mor):
         """Coordinates of a morphism P_s -> P_t in the hom basis."""
-        return self.hom[s][t].coordinates(mor)
+        coords = self.hom[s][t].coordinates(mor)
+        if s != t or s not in self._pivot or self._pivot[s][0] not in coords:
+            return coords
+        # v = sum v_i e_i with e_k = (u - sum_(i != k) u_i e_i) / u_k
+        k, u = self._pivot[s]
+        ck = coords[k] * self.domain.coerce(Fraction(1) / u[k])
+        out = dict(coords)
+        for i, ui in u.items():
+            out[i] = out.get(i, 0) - ui * ck
+        out[k] = ck
+        return finished(out, self.domain)
 
     def comp(self, s, mid, t, i, j):
         """Coordinates of basis_i . basis_j, basis_i in Hom(mid,t), basis_j in Hom(s,mid)."""
@@ -95,6 +136,28 @@ class _NerveData:
             out = self.coordinates(a, a, identity_morphism(self.objects[a]))
             self._unit[a] = out
         return out
+
+    def _unit_index(self, a):
+        """k with unit(a) = e_k; None for a zero object, whose End is 0."""
+        u = self.unit(a)
+        if not u and not self.dim(a, a):
+            return None
+        k = min(u, default=None)
+        if u != {k: self.domain.one}:
+            raise InvariantError(f"the identity of nerve object {a} is one basis vector")
+        return k
+
+    def _check_unit_law(self):
+        one = self.domain.one
+        units = self.unit_index
+        for s in range(self.count):
+            for t in range(self.count):
+                for i in range(self.dim(s, t)):
+                    e = {i: one}
+                    if (self.comp(s, t, t, units[t], i) != e
+                            or self.comp(s, s, t, i, units[s]) != e):
+                        raise InvariantError(
+                            f"unit law id . f = f = f . id on Hom(P_{s}, P_{t})")
 
 
 class _AlgebraData:
@@ -135,15 +198,18 @@ class NerveBasis(list):
         self.degree = n
         total = 0
         for o in product(range(data.count), repeat=n + 1):
-            total += prod(data.dim(*self.ends(o, j)) for j in range(n + 1))
+            total += prod(map(len, self._ranges(o)))
             if total > cap:
                 raise ValueError(
                     f"cyclic nerve degree {n} needs more than {cap} basis elements"
                 )
         for o in product(range(data.count), repeat=n + 1):
-            ranges = [range(data.dim(*self.ends(o, j))) for j in range(n + 1)]
-            self.extend((o, m) for m in product(*ranges))
+            self.extend((o, m) for m in product(*self._ranges(o)))
         self.index = {key: i for i, key in enumerate(self)}
+
+    def _ranges(self, o):
+        """The morphism indices of each factor of the keys on object tuple o."""
+        return [range(self.data.dim(*self.ends(o, j))) for j in range(self.degree + 1)]
 
     def ends(self, o, j):
         """(source, target) objects of factor j of a key with object tuple o."""
@@ -155,15 +221,57 @@ class NerveBasis(list):
         o, m = key
         return [self.data.morphism(*self.ends(o, j), k) for j, k in enumerate(m)]
 
+    def degenerate(self, key):
+        """Whether a key is zero in this basis's complex: never, here."""
+        return False
+
     def matrix(self, target, image, domain):
-        """The operator sending each key to `image(key)`, a {target key: value}
-        dict whose values `Matrix.from_columns` coerces into `domain`."""
+        """The operator sending each key to the sum of `image(key)`, an iterable
+        of (target key, value) pairs; `Matrix.from_columns` finishes each
+        column in `domain`.  A target key outside `target` must be degenerate
+        there, and is dropped."""
         index = target.index
-        cols = [{index[k]: v for k, v in image(key).items()} for key in self]
+        cols = []
+        for key in self:
+            col = {}
+            for k, v in image(key):
+                i = index.get(k)
+                if i is not None:
+                    col[i] = col.get(i, 0) + v
+                elif not target.degenerate(k):
+                    raise InvariantError(f"image key {k} lies in the nerve basis",
+                                         target.degree)
+            cols.append(col)
         return Matrix.from_columns(cols, len(target), domain)
 
 
-def _face(basis, target, i):
+class NormalizedNerveBasis(NerveBasis):
+    """The normalized degree-n basis: the keys whose factors j >= 1 are not
+    the identity basis vector of their object.
+
+    The keys with an identity factor j >= 1 span the degenerate subcomplex,
+    whose quotient has the same homology (Eilenberg-Mac Lane).  Only the
+    other keys are listed, so the cap counts them; `matrix` drops the
+    degenerate target keys, which are zero in the quotient.
+    """
+
+    def _ranges(self, o):
+        ranges = super()._ranges(o)
+        unit = self.data.unit_index
+        for j in range(1, self.degree + 1):
+            s, t = self.ends(o, j)
+            if s == t:
+                ranges[j] = [k for k in ranges[j] if k != unit[s]]
+        return ranges
+
+    def degenerate(self, key):
+        o, m = key
+        unit = self.data.unit_index
+        return any(m[j] == unit[o[j]] and self.ends(o, j)[0] == o[j]
+                   for j in range(1, self.degree + 1))
+
+
+def _face_image(basis, i):
     """d_i composes factors i and i + 1; d_n puts the composite in front."""
     n = basis.degree
     comp = basis.data.comp
@@ -173,12 +281,16 @@ def _face(basis, target, i):
         if i < n:
             s, mid = basis.ends(o, i + 1)
             o2 = o[: i + 1] + o[i + 2 :]
-            return {(o2, m[:i] + (k,) + m[i + 2 :]): c
-                    for k, c in comp(s, mid, o[i], m[i], m[i + 1]).items()}
+            return [((o2, m[:i] + (k,) + m[i + 2 :]), c)
+                    for k, c in comp(s, mid, o[i], m[i], m[i + 1]).items()]
         o2 = (o[n],) + o[1:n]
-        return {(o2, (k,) + m[1:n]): c for k, c in comp(o[1], o[0], o[n], m[n], m[0]).items()}
+        return [((o2, (k,) + m[1:n]), c) for k, c in comp(o[1], o[0], o[n], m[n], m[0]).items()]
 
-    return basis.matrix(target, image, basis.data.domain)
+    return image
+
+
+def _face(basis, target, i):
+    return basis.matrix(target, _face_image(basis, i), basis.data.domain)
 
 
 def _rotation(basis):
@@ -188,7 +300,7 @@ def _rotation(basis):
 
     def image(key):
         o, m = key
-        return {((o[n],) + o[:n], (m[n],) + m[:n]): sign}
+        return (((o[n],) + o[:n], (m[n],) + m[:n]), sign),
 
     return basis.matrix(basis, image, basis.data.domain)
 
@@ -202,9 +314,42 @@ def _insert_unit(basis, target, i):
         o, m = key
         a = basis.ends(o, i)[0]
         o2 = o[: i + 1] + (a,) + o[i + 1 :]
-        return {(o2, m[: i + 1] + (k,) + m[i + 1 :]): c for k, c in data.unit(a).items()}
+        return [((o2, m[: i + 1] + (k,) + m[i + 1 :]), c) for k, c in data.unit(a).items()]
 
     return basis.matrix(target, image, data.domain)
+
+
+def _normalized_b(basis, target):
+    """b = sum of (-1)^i d_i, one column per key from the face images."""
+    faces = [_face_image(basis, i) for i in range(basis.degree + 1)]
+
+    def image(key):
+        for i, face in enumerate(faces):
+            for k, c in face(key):
+                yield k, -c if i % 2 else c
+
+    return basis.matrix(target, image, basis.data.domain)
+
+
+def _normalized_connes(basis, target):
+    """B = s N on the normalized nerve: the identity in front of each signed
+    rotation t^i = (-1)^(ni) x rotation^i.  The (1 - t) of the full B is 0
+    here, since t s N puts an identity in factor 1.  A key whose factor 0 is
+    an identity goes to 0: the identity in front moves that factor to a
+    place j >= 1 in every term, so `matrix` would drop each one."""
+    n = basis.degree
+    unit = basis.data.unit_index
+
+    def image(key):
+        o, m = key
+        if m[0] == unit[o[0]] and basis.ends(o, 0)[0] == o[0]:
+            return
+        for i in range(n + 1):
+            cut = n + 1 - i
+            o2 = o[cut:] + o[:cut]
+            yield ((o2[0],) + o2, (unit[o2[0]],) + m[cut:] + m[:cut]), -1 if n * i % 2 else 1
+
+    return basis.matrix(target, image, basis.data.domain)
 
 
 def connes_operator(n, t_n, front, t_up):
@@ -369,6 +514,25 @@ def to_mixed(module):
         front = _insert_unit(module.basis[n], module.basis[n + 1], -1)
         big.append(connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1)))
     return MixedComplex(N, dom, dims, b, big, source=module)
+
+
+def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP,
+                             domain=None):
+    """Mixed complex (C, b, B = sN) of the normalized cyclic nerve of the objects.
+
+    It is the quotient of `to_mixed` of the full nerve by the keys with an
+    identity factor j >= 1, and has the same HH and HC; no key of the full
+    nerve is listed.  b^2 = 0, B^2 = 0 and bB + Bb = 0 are checked where
+    it is built.  The empty list and `domain` are as for
+    `additive_cyclic_nerve`.
+    """
+    data = _NerveData(objects, domain)
+    basis = [NormalizedNerveBasis(data, n, cap) for n in range(max_degree + 1)]
+    dom = data.domain
+    b = [Matrix(0, len(basis[0]), dom)]
+    b += [_normalized_b(basis[n], basis[n - 1]) for n in range(1, max_degree + 1)]
+    big = [_normalized_connes(basis[n], basis[n + 1]) for n in range(max_degree)]
+    return MixedComplex(max_degree, dom, [len(x) for x in basis], b, big)
 
 
 class TotComplex(Complex):

@@ -223,11 +223,30 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, nrows, domain):
-        """Build from a list of sparse columns ({row: value})."""
+        """Build from a list of sparse columns ({row: value}).
+
+        Each column is finished in one pass, with no per-entry `set`: a row
+        outside range(nrows) raises IndexError, an int is reduced mod p over
+        F_p, any other value goes through `domain.coerce` (so an inexact one
+        raises TypeError), and zeros are dropped.
+        """
         m = cls(nrows, len(columns), domain)
+        p = domain.char
+        coerce = domain.coerce
+        cols = m._cols
         for j, col in enumerate(columns):
+            out = {}
             for i, v in col.items():
-                m.set(i, j, v)
+                if not 0 <= i < nrows:
+                    raise IndexError(f"entry ({i}, {j}) out of bounds")
+                if type(v) is not int:
+                    v = coerce(v)
+                elif p:
+                    v %= p
+                if v:
+                    out[i] = v
+            if out:
+                cols[j] = out
         return m
 
     @classmethod

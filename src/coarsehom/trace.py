@@ -240,7 +240,7 @@ def nerve_pushforward_matrix(src, tgt, f, n):
         o2 = tuple(orbit_map[i] for i in o)
         parts = [coords(*basis.ends(o, j), k) for j, k in enumerate(m)]
         # each combination of target basis morphisms is a different key
-        return {(o2, tuple(k for k, _ in combo)): prod(v for _, v in combo)
-                for combo in product(*parts)}
+        return [((o2, tuple(k for k, _ in combo)), prod(v for _, v in combo))
+                for combo in product(*parts)]
 
     return basis.matrix(tgt.basis[n], image, src.domain)

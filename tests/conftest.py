@@ -1,20 +1,26 @@
 import pytest
 
-from coarsehom.cyclic import MixedComplex, to_mixed
+from coarsehom.cyclic import MixedComplex, normalized_mixed_complex, to_mixed
 
 
-def _sign_flipped_mixed(module):
-    """The mixed complex of `module` with an extra (-1)^(n+1) on B_n.
+def _sign_flipped(good):
+    """The mixed complex `good` with an extra (-1)^(n+1) on B_n.
 
     That tempting sign convention breaks bB + Bb = 0, so building it raises
     the named `InvariantError`; tests use it to see a failed identity reported.
     """
-    good = to_mixed(module)
     big = [good.B(n).scale(-1) if n % 2 == 0 else good.B(n) for n in range(good.max_degree)]
     return MixedComplex(good.max_degree, good.domain, good.dims, good.b_complex.d, big,
-                        source=module)
+                        source=good.source)
 
 
 @pytest.fixture
 def sign_flipped_mixed():
-    return _sign_flipped_mixed
+    """`to_mixed` of a cyclic module, with the flipped sign."""
+    return lambda module: _sign_flipped(to_mixed(module))
+
+
+@pytest.fixture
+def sign_flipped_normalized():
+    """`normalized_mixed_complex`, with the flipped sign."""
+    return lambda *args, **kwargs: _sign_flipped(normalized_mixed_complex(*args, **kwargs))

@@ -187,9 +187,12 @@ def test_axioms_theory_runs_green(capsys):
     assert "result: ok" in out
 
 
-def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys, sign_flipped_mixed):
-    monkeypatch.setattr(homology_module, "to_mixed", sign_flipped_mixed)
-    code, out, err = run_cli(capsys, "run", "@gcanmin:z2", "--max-degree", "3")
+def test_internal_identity_failure_is_not_bad_input(monkeypatch, capsys,
+                                                   sign_flipped_normalized):
+    # z3, not z2: on z2's normalized nerve bB and Bb vanish one by one, so
+    # the flipped sign is still a mixed complex there
+    monkeypatch.setattr(homology_module, "normalized_mixed_complex", sign_flipped_normalized)
+    code, out, err = run_cli(capsys, "run", "@gcanmin:z3", "--max-degree", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: ") and "sign-convention" in err

@@ -1,22 +1,27 @@
 """Cyclic nerves, mixed complexes, HH and HC against hand-computed values."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import coarsehom.cyclic as cyclic_module
-from coarsehom.controlled import endomorphism_algebra, generator, orbit_objects
+from coarsehom.axioms import random_complementary_pair, random_equivalence, random_space
+from coarsehom.bar_oracle import bar_complex
+from coarsehom.controlled import endomorphism_algebra, generator, identity_morphism, orbit_objects
 from coarsehom.cyclic import (
     additive_cyclic_nerve,
     algebra_cyclic_module,
     hc,
     hh,
+    normalized_mixed_complex,
     to_mixed,
     tot_B,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
+from coarsehom.homology import nerve_profiles, space_mixed_complex
 from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
 
@@ -257,10 +262,11 @@ def test_only_cyclic_reads_hom_spaces():
 
 
 def test_each_complex_has_one_builder():
-    # the nerve's mixed complex is built by `homology.space_mixed_complex`
-    # and the coarse boundaries by `chains`; everyone else reads those
+    # the nerve's mixed complexes are built by `homology.space_mixed_complex`
+    # (full) and `homology.nerve_profiles` (normalized), and the coarse
+    # boundaries by `chains`; everyone else reads those
     owners = {"additive_cyclic_nerve": "homology.py", "to_mixed": "homology.py",
-              "_boundary_on": "chains.py"}
+              "normalized_mixed_complex": "homology.py", "_boundary_on": "chains.py"}
     offenders = []
     for path in sorted(Path(cyclic_module.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -288,3 +294,114 @@ def test_mod_p_nerve_identities_hold():
     nerve = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(3)), GF(5)), 3)
     mix = to_mixed(nerve)
     assert hh(mix, 0).betti == 3
+
+
+# ------------------------------------------------------- normalized nerve
+
+
+def _profiles(mixed, top):
+    return [hh(mixed, n).betti for n in range(top)], [hc(mixed, n).betti for n in range(top)]
+
+
+def test_normalized_nerve_cap_fails_before_any_operator_is_built():
+    # degree 3 of the normalized s3 nerve has 6 * 5^3 = 750 keys, of 1296
+    objects = orbit_objects(g_can_min(symmetric_group(3)), QQ)
+    assert normalized_mixed_complex(objects, 3, cap=750).dims == [6, 30, 150, 750]
+    built = []
+    real = cyclic_module.NerveBasis.matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclic_module.NerveBasis, "matrix",
+                   lambda *a, **k: built.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="degree 3 needs more than 749 basis elements"):
+            normalized_mixed_complex(objects, 3, cap=749)
+    assert built == []
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("group", [cyclic_group(2), cyclic_group(3), symmetric_group(3)],
+                         ids=["z2", "z3", "s3"])
+def test_normalized_and_full_nerve_agree_on_group_algebras(group, domain):
+    space = g_can_min(group)
+    assert nerve_profiles(space, 4, domain) == _profiles(space_mixed_complex(space, 4, domain), 4)
+
+
+def _fuzz_probes(seed=0, budget=20):
+    """The `random_space` probes of `fuzz_suite(seed, budget)`, in its rng order."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        random_equivalence(rng)
+        random_complementary_pair(rng)
+        yield random_space(rng)
+
+
+def test_normalized_and_full_nerve_agree_on_the_fuzz_probes():
+    spread = 0
+    for probe in _fuzz_probes():
+        gen = generator(probe, QQ)
+        for objects in (None, [gen]):
+            full = _profiles(space_mixed_complex(probe, 3, QQ, objects), 3)
+            assert nerve_profiles(probe, 3, QQ, objects) == full
+        spread += len(endomorphism_algebra(gen).unit) > 1
+    # the Morita generators include units spread over several basis vectors
+    assert spread > 0
+
+
+@pytest.mark.parametrize("p, hh_ref, hc_ref", [
+    (2, [3, 2, 2, 2], [3, 1, 4, 2]),
+    (3, [3, 1, 1, 2], [3, 0, 3, 1]),
+])
+def test_modular_normalized_nerve_matches_the_bar_oracle(p, hh_ref, hc_ref):
+    # at the cyclic level, where |G| = 6 is no obstacle
+    group = symmetric_group(3)
+    mixed = normalized_mixed_complex(orbit_objects(g_can_min(group), GF(p)), 4)
+    oracle = bar_complex(group.table, 4, GF(p))
+    assert _profiles(mixed, 4) == (hh_ref, hc_ref)
+    assert [oracle.hh(n) for n in range(4)] == hh_ref
+    assert [oracle.hc(n) for n in range(4)] == hc_ref
+
+
+@pytest.mark.slow
+def test_s3_normalized_nerve_to_degree_5():
+    assert nerve_profiles(g_can_min(symmetric_group(3)), 5, QQ) == (
+        [3, 0, 0, 0, 0], [3, 0, 3, 0, 3])
+
+
+def test_a_spread_unit_becomes_a_basis_vector():
+    # End of the generator on two unrelated points is k x k, unit e_0 + e_1
+    gen = generator(two_points(False), QQ)
+    assert endomorphism_algebra(gen).unit == {0: 1, 1: 1}
+    data = additive_cyclic_nerve([gen], 1).data
+    assert data.unit(0) == {0: 1}
+    assert data.unit_index == [0]
+    assert data.morphism(0, 0, 0).blocks == identity_morphism(gen).blocks
+    assert data.coordinates(0, 0, data.morphism(0, 0, 1)) == {1: 1}
+
+
+def test_a_unit_that_is_not_a_basis_vector_is_a_named_internal_error(monkeypatch):
+    # coordinates read in the solved basis, without the swap to the identity
+    monkeypatch.setattr(cyclic_module._NerveData, "coordinates",
+                        lambda self, s, t, mor: self.hom[s][t].coordinates(mor))
+    with pytest.raises(InvariantError, match="identity of nerve object 0 is one basis vector"):
+        nerve_profiles(two_points(False), 2, QQ, [generator(two_points(False), QQ)])
+
+
+def test_a_failed_unit_law_is_a_named_internal_error(monkeypatch):
+    # the identity's coordinates are e_0, but basis morphism 0 is not the identity
+    gen = generator(two_points(False), QQ)
+    monkeypatch.setattr(cyclic_module._NerveData, "morphism",
+                        lambda self, s, t, k: self.hom[s][t].basis[k])
+    with pytest.raises(InvariantError, match="unit law"):
+        nerve_profiles(gen.space, 2, QQ, [gen])
+
+
+def test_normalized_matrix_drops_only_degenerate_keys():
+    objects = orbit_objects(g_can_min(cyclic_group(3)), QQ)
+    data = cyclic_module._NerveData(objects)
+    full = cyclic_module.NerveBasis(data, 1)
+    norm = cyclic_module.NormalizedNerveBasis(data, 1)
+    assert [key for key in full if norm.degenerate(key)] == [
+        key for key in full if key not in norm.index]
+    unit_key = ((0, 0), (0, data.unit_index[0]))
+    assert full.matrix(norm, lambda key: [(unit_key, 1)], QQ).is_zero()
+    with pytest.raises(InvariantError, match="lies in the nerve basis"):
+        full.matrix(norm, lambda key: [(((0, 0), (0, 99)), 1)], QQ)

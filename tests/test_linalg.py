@@ -368,6 +368,31 @@ def test_matrix_entry_rules():
         m.set(2, 0, 1)
 
 
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(5)], ids=["Q", "Z", "F5"])
+def test_from_columns_rejects_inexact_values_and_rows_out_of_range(domain):
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Matrix.from_columns([{0: 1}, {1: bad}], 2, domain)
+    for row in (2, -1):
+        with pytest.raises(IndexError):
+            Matrix.from_columns([{0: 1}, {row: 1, 0: 1}], 2, domain)
+    # a zero out of range is still out of range, as with `set`
+    with pytest.raises(IndexError):
+        Matrix.from_columns([{5: 0}], 2, domain)
+
+
+def test_from_columns_finishes_each_column():
+    cols = [{0: 7, 1: Fraction(4, 2), 2: 5}, {}, {1: 0, 2: -1}, {0: True}]
+    got = Matrix.from_columns(cols, 3, GF(5))
+    assert got._cols == {0: {0: 2, 1: 2}, 2: {2: 4}, 3: {0: 1}}
+    got = Matrix.from_columns(cols, 3, QQ)
+    assert got._cols == {0: {0: 7, 1: 2, 2: 5}, 2: {2: -1}, 3: {0: 1}}
+    assert type(got.get(1, 0)) is int and type(got.get(0, 3)) is int
+    assert Matrix.from_columns([{0: Fraction(1, 2)}], 1, GF(5)).get(0, 0) == 3
+    with pytest.raises(TypeError):
+        Matrix.from_columns([{0: Fraction(1, 2)}], 1, ZZ)
+
+
 def _q_true_fraction(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(2, 5))
 
