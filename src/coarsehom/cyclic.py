@@ -410,9 +410,8 @@ class CyclicModule:
         d_0 d_k = d_(k-1) d_0 for k = j - i, conjugated by t^i.
         """
         for n in range(self.max_degree + 1):
-            t = self.cyclic(n)
-            acc = Matrix.identity(self.dims[n], self.domain)
-            for _ in range(n + 1):
+            t = acc = self.cyclic(n)
+            for _ in range(n):
                 acc = t @ acc
             if acc != Matrix.identity(self.dims[n], self.domain):
                 raise InvariantError(f"t^{n + 1} = 1", n)

@@ -6,16 +6,20 @@ tuple (x_0, ..., x_n) is the trace of the composite
     M_0(x_n) --A_n--> M_n(x_{n-1}) --> ... --> M_1(x_0) --A_0--> M_0(x_n),
 
 walking the block supports only, so the cost tracks the sparsity of the
-morphisms.  The image is an invariant chain; phi_matrix expresses it in
-orbit-sum coordinates.  A `TraceContext` is the two complexes phi joins,
-each from its one builder: the nerve's mixed complex from
-`homology.space_mixed_complex` and the full tuple complex
-`chains.TupleChainComplex`, whose bases and boundaries it reads.  It is
-the unnormalized complex, not XH's Moore quotient: t and the front
-insertion below do not descend to the quotient.  Nerve
-keys and their factors are read through `cyclic.NerveBasis`, and the nerve
-pushforward CN(f_*), a map of cyclic modules, is one `NerveBasis.matrix`
-call between two nerves.
+morphisms.  phi_matrix(n) is one depth-first pass over the trie of nerve
+keys: the partial product A_0 A_1 ... A_j of a key prefix (o, m[:j + 1])
+is formed once and shared by every key below it, and the last factor
+enters only through tr(P A_n) summed entry by entry.  The image is an
+invariant chain; phi_matrix expresses it in orbit-sum coordinates.
+
+A `TraceContext` is the two complexes phi joins, each from its one
+builder: the nerve's mixed complex from `homology.space_mixed_complex`
+and the full tuple complex `chains.TupleChainComplex`, whose bases and
+boundaries it reads.  It is the unnormalized complex, not XH's Moore
+quotient: t and the front insertion below do not descend to the
+quotient.  Nerve keys and their factors are read through
+`cyclic.NerveBasis`, and the nerve pushforward CN(f_*), a map of cyclic
+modules, is one `NerveBasis.matrix` call between two nerves.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
@@ -45,6 +49,11 @@ def _trace_of(mat):
     return sum(mat.get(i, i) for i in range(mat.nrows))
 
 
+def _trace_of_product(a, b):
+    """tr(a @ b) as a plain sum of entry products, without forming a @ b."""
+    return sum(v * b.get(k, i) for i, k, v in a.entries())
+
+
 class TraceContext:
     """The nerve's mixed complex and the coarse chain complex, with phi cached."""
 
@@ -60,42 +69,69 @@ class TraceContext:
 
     # -- phi ---------------------------------------------------------------
 
+    def _phi_walk(self, n, keys):
+        """(key, plain coefficients of phi) for each of `keys`, in one
+        depth-first pass over their trie.
+
+        A key's coefficient at (x_0, ..., x_n) is tr(A_0 A_1 ... A_n), where
+        A_0 is the block x_0 -> x_n of factor 0 and A_j the block
+        x_j -> x_(j-1) of factor j.  The stack holds, for each factor
+        j < n of the current key, the partial products A_0 ... A_j of its
+        prefix (o, m[:j + 1]); the next key reuses the part of the stack its
+        prefix shares, so over keys in lexicographic order each partial
+        product is formed once.  Factor n is never multiplied in: tr(P A_n)
+        is summed entry by entry.
+        """
+        data = self.nerve.data
+        ends = self.nerve.basis[n].ends
+        adjacency = {}
+
+        def by_target(o, j, k):
+            """Blocks of basis morphism k in factor j: {target: {source: block}}."""
+            s, t = ends(o, j)
+            adj = adjacency.get((s, t, k))
+            if adj is None:
+                adj = adjacency[(s, t, k)] = {}
+                for (x, y), blk in data.morphism(s, t, k).blocks.items():
+                    adj.setdefault(y, {})[x] = blk
+            return adj
+
+        stack = []  # stack[j]: [(x_n, (x_0, ..., x_j), A_0 ... A_j)]
+        prev = (None, ())
+        for key in keys:
+            o, m = key
+            shared = 0
+            if o == prev[0]:
+                while shared < len(stack) and m[shared] == prev[1][shared]:
+                    shared += 1
+            del stack[shared:]
+            for j in range(shared, max(n, 1)):
+                adj = by_target(o, j, m[j])
+                if j == 0:
+                    states = [(xn, (x0,), blk)
+                              for xn, row in adj.items() for x0, blk in row.items()]
+                else:
+                    states = [(xn, path + (x,), partial @ blk)
+                              for xn, path, partial in stack[-1]
+                              for x, blk in adj.get(path[-1], {}).items()]
+                stack.append(states)
+            prev = key
+            out = {}
+            if n == 0:
+                for xn, path, partial in stack[0]:
+                    if path[0] == xn:
+                        out[path] = _trace_of(partial)
+            else:
+                final = by_target(o, n, m[n])
+                for xn, path, partial in stack[-1]:
+                    blk = final.get(path[-1], {}).get(xn)
+                    if blk is not None:
+                        out[path + (xn,)] = _trace_of_product(partial, blk)
+            yield key, finished(out, self.domain)
+
     def _phi_of_basis(self, n, key):
         """Plain coefficients of phi on one nerve basis element."""
-        factors = self.nerve.basis[n].factors(key)
-        out = {}
-
-        def put(tup, val):
-            out[tup] = out.get(tup, 0) + val
-
-        if n == 0:
-            for (x, y), blk in factors[0].blocks.items():
-                if x == y:
-                    put((x,), _trace_of(blk))
-            return finished(out, self.domain)
-        closer = factors[0]
-        # adjacency[j - 1]: source point -> [(target point, block)] for factor j
-        adjacency = []
-        for j in range(1, n + 1):
-            adj = {}
-            for (src, tgt), blk in factors[j].blocks.items():
-                adj.setdefault(src, []).append((tgt, blk))
-            adjacency.append(adj)
-
-        def walk(j, partial, trail):
-            # trail = [x_n, x_{n-1}, ..., x_{j-1}]; partial: M_0(x_n) -> M_j(x_{j-1})
-            cur = trail[-1]
-            if j == 1:
-                blk = closer.blocks.get((cur, trail[0]))
-                if blk is not None:
-                    put(tuple(reversed(trail)), _trace_of(blk @ partial))
-                return
-            for tgt, blk in adjacency[j - 2].get(cur, ()):
-                walk(j - 1, blk @ partial, trail + [tgt])
-
-        for (xn, xnm1), blk in factors[n].blocks.items():
-            walk(n, blk, [xn, xnm1])
-        return finished(out, self.domain)
+        return next(self._phi_walk(n, [key]))[1]
 
     def phi_matrix(self, n):
         """Matrix of phi_n from the nerve basis to invariant chain coordinates."""
@@ -103,8 +139,10 @@ class TraceContext:
             raise ValueError(f"phi undefined in degree {n}")
         if self._phi_cols[n] is None:
             basis = self.chains.bases[n]
-            cols = [basis.collect(self._phi_of_basis(n, key), self.domain)
-                    for key in self.nerve.basis[n]]
+            keys = self.nerve.basis[n]
+            cols = [None] * len(keys)
+            for key, plain in self._phi_walk(n, keys):
+                cols[keys.index[key]] = basis.collect(plain, self.domain)
             self._phi_cols[n] = Matrix.from_columns(cols, len(basis), self.domain)
         return self._phi_cols[n]
 

@@ -194,6 +194,15 @@ def test_a_wrong_face_is_a_named_internal_error():
     assert err.value.degree == 2
 
 
+def test_a_t_of_the_wrong_order_is_caught():
+    # -1 has order 2: t^3 = 1 fails in degree 2 and t^2 = 1 holds in degree 1
+    m = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 2)
+    m._cyc[1] = Matrix.identity(m.dims[1], QQ).scale(-1)
+    m._cyc[2] = Matrix.identity(m.dims[2], QQ).scale(-1)
+    with pytest.raises(InvariantError, match=r"t\^3 = 1 fails in degree 2"):
+        m.check_identities()
+
+
 def test_faces_conjugate_by_t_but_not_simplicial_are_caught():
     # degree-2 faces rebuilt from a wrong d_0 as d_i = (-1)^i t^i d_0 t^(-i)
     # pass every cyclic check, so only the d_0 d_j check can catch them

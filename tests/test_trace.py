@@ -1,16 +1,26 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import coarsehom.chains as chains_module
-from coarsehom.axioms import random_equivalence
-from coarsehom.chains import ControlledChain, TupleChainComplex, pushforward_matrix
+from coarsehom.axioms import random_equivalence, random_space
+from coarsehom.chains import (
+    ControlledChain,
+    OrbitBasis,
+    TupleChainComplex,
+    basis_chain,
+    pushforward_matrix,
+)
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
-from coarsehom.linalg import GF, Matrix, QQ, kernel_basis, rank
+from coarsehom.linalg import GF, Matrix, QQ, finished, kernel_basis, rank
 from coarsehom.spaces import GBornCoarseSpace, SpaceMap, empty_space, g_can_min, point_space
 from coarsehom.trace import (
     TraceContext,
+    _trace_of,
+    _trace_of_product,
     dennis_trace_k0,
     nerve_pushforward_matrix,
     xc_connes_operator,
@@ -82,6 +92,111 @@ def test_phi_support_stays_inside_the_block_supports():
             assert (x1, x0) in allowed[1]
 
 
+# -- phi against its definition ----------------------------------------------
+
+
+def _oracle_phi(ctx, n, key):
+    """phi of one key from the definition, on every (n + 1)-tuple of points:
+    tr(A_0(x_0 -> x_n) @ A_1(x_1 -> x_0) @ ... @ A_n(x_n -> x_(n-1)))."""
+    a = ctx.nerve.basis[n].factors(key)
+    out = {}
+    for tup in product(range(ctx.space.n), repeat=n + 1):
+        composite = a[0].block(tup[0], tup[n])
+        for j in range(1, n + 1):
+            composite = composite @ a[j].block(tup[j], tup[j - 1])
+        out[tup] = sum(composite.get(i, i) for i in range(composite.nrows))
+    return finished(out, ctx.domain)
+
+
+def _phi_columns_as_chains(ctx, n):
+    """The columns of phi_matrix(n), each expanded over its orbit sums."""
+    mat = ctx.phi_matrix(n)
+    reps = ctx.chains.bases[n]
+    orbit_sums = [basis_chain(ctx.space, rep, ctx.domain).coefficients for rep in reps]
+    for j in range(mat.ncols):
+        yield finished({tup: v * c for i, v in mat.column(j).items()
+                        for tup, c in orbit_sums[i].items()}, ctx.domain)
+
+
+def _direct_sum_ctx(domain, max_degree):
+    space = g_can_min(cyclic_group(2))
+    g = generator(space, domain)
+    return TraceContext(space, domain, objects=[direct_sum(g, g)], max_degree=max_degree)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("make", [
+    lambda dom: canmin_ctx(2, max_degree=3, domain=dom),
+    lambda dom: canmin_ctx(3, max_degree=3, domain=dom),
+    lambda dom: _direct_sum_ctx(dom, 2),
+    lambda dom: TraceContext(random_space(random.Random(3)), dom, max_degree=3),
+], ids=["z2", "z3", "direct-sum", "random"])
+def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
+    ctx = make(domain)
+    nonzero = 0
+    for n in range(ctx.max_degree + 1):
+        keys = ctx.nerve.basis[n]
+        got = list(_phi_columns_as_chains(ctx, n))
+        assert got == [_oracle_phi(ctx, n, key) for key in keys]
+        assert [ctx._phi_of_basis(n, key) for key in keys] == got
+        nonzero += sum(map(bool, got))
+    assert nonzero
+
+
+def test_the_direct_sum_object_has_blocks_bigger_than_one():
+    ctx = _direct_sum_ctx(QQ, 1)
+    blocks = [blk for key in ctx.nerve.basis[0] for a in ctx.nerve.basis[0].factors(key)
+              for blk in a.blocks.values()]
+    assert blocks and all((blk.nrows, blk.ncols) == (2, 2) for blk in blocks)
+
+
+@pytest.mark.parametrize("k, expected", [(2, 24), (3, 108)])
+def test_phi_forms_each_partial_block_product_once(monkeypatch, k, expected):
+    """On the orbit object of Z/k each basis morphism has one block per
+    point, so degree n forms k^(j+2) partial products at factor j, 0 < j < n."""
+    ctx = canmin_ctx(k, max_degree=3)
+    calls = []
+    real = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    ctx.phi_matrix(3)
+    assert len(calls) == expected == sum(k ** (i + 1) for i in range(2, 4))
+
+
+def test_phi_matrix_collects_every_column(monkeypatch):
+    ctx = canmin_ctx(3, max_degree=2)
+    columns = []
+    real = OrbitBasis.collect
+
+    def counting(self, plain, domain):
+        columns.append(plain)
+        return real(self, plain, domain)
+
+    monkeypatch.setattr(OrbitBasis, "collect", counting)
+    for n in range(3):
+        ctx.phi_matrix(n)
+    assert len(columns) == sum(ctx.nerve.dims)
+
+
+@pytest.mark.parametrize("a, b, domain", [
+    (Matrix.from_dense([[Fraction(1, 2), 0, 3], [2, Fraction(-5, 3), 1]], QQ),
+     Matrix.from_dense([[4, Fraction(1, 7)], [0, 6], [Fraction(2, 9), 1]], QQ), QQ),
+    (Matrix.from_dense([[3, 4], [1, 0], [2, 2]], GF(5)),
+     Matrix.from_dense([[4, 4, 1], [3, 0, 2]], GF(5)), GF(5)),
+    (Matrix(2, 0, QQ), Matrix(0, 2, QQ), QQ),
+    (Matrix(2, 3, GF(5)), Matrix.from_dense([[1, 2], [3, 4], [0, 1]], GF(5)), GF(5)),
+], ids=["Q-rectangular", "F5", "empty", "zero-block"])
+def test_trace_of_product_is_the_trace_of_the_product(a, b, domain):
+    assert (finished({0: _trace_of_product(a, b)}, domain)
+            == finished({0: _trace_of(a @ b)}, domain))
+    assert (finished({0: _trace_of_product(b, a)}, domain)
+            == finished({0: _trace_of(a @ b)}, domain))
+
+
 # -- chain map ----------------------------------------------------------------
 
 
@@ -114,6 +229,15 @@ def test_trace_context_on_no_orbits_keeps_its_domain():
     ctx = TraceContext(empty_space(), GF(5), max_degree=2)
     assert ctx.nerve.domain is GF(5) and ctx.mixed.domain is GF(5)
     assert ctx.phi_matrix(1).domain is GF(5)
+
+
+@pytest.mark.slow
+def test_phi_is_a_chain_map_on_s3_to_degree_5():
+    ctx = TraceContext(g_can_min(named_group("s3")), QQ, max_degree=5)
+    for n in range(1, 6):
+        left = ctx.phi_matrix(n - 1) @ ctx.mixed.b(n)
+        right = ctx.boundary_matrix(n) @ ctx.phi_matrix(n)
+        assert left == right
 
 
 def test_phi_after_b_over_gf5():
