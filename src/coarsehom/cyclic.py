@@ -8,10 +8,13 @@ and unit coordinates.  Degree n of the nerve is the direct sum, over
 
 The degree-n basis is one value, `NerveBasis`: the keys (object tuple,
 morphism index tuple), enumerated lexicographically so every matrix is
-reproducible bit for bit, and their index.  It holds the one rule for the
-hom space of each factor (`ends`), and every nerve operator (the faces, t,
-the degeneracies, the front insertion, and the trace's nerve pushforward)
-is one `matrix` call with an image function on keys.  Other modules read
+reproducible bit for bit, and their index.  An object tuple with a zero
+hom factor has no keys, so the enumeration visits only the closed walks in
+the support graph of Hom, not all r^(n+1) tuples of r objects, and costs
+per nonempty tuple.  The basis holds the one rule for the hom space of
+each factor (`ends`), and every nerve operator (the faces, t, the
+degeneracies, the front insertion, and the trace's nerve pushforward) is
+one `matrix` call with an image function on keys.  Other modules read
 keys, factors and coordinates through it and the category data.
 
 XHH and XHC are computed on the normalized nerve,
@@ -188,28 +191,64 @@ class NerveBasis(list):
 
     Factor j of a key is basis morphism m[j] of Hom(P_o[j+1], P_o[j]),
     indices mod n + 1 (see `ends`).  Every nerve operator is one `matrix`
-    call with an image function on keys.  The size is counted against the
-    cap before any key is listed.
+    call with an image function on keys.
+
+    Only the object tuples whose factors all have a nonempty index range
+    carry keys.  They are the closed walks o[0] -> o[1] -> ... -> o[n] ->
+    o[0] in the support graph of Hom, where factor j may step from a to c
+    when its range on Hom(P_c, P_a) is nonempty.  `_walks` lists them
+    depth first in increasing object order, which is the lexicographic
+    order of all tuples with the empty ones left out, so each tuple's
+    ranges are computed once and the cost is per nonempty tuple.  The size
+    is counted against the cap during the walk, before any key is listed.
     """
 
     def __init__(self, data, n, cap=DEFAULT_BASIS_CAP):
         super().__init__()
         self.data = data
         self.degree = n
+        tuples = []
         total = 0
-        for o in product(range(data.count), repeat=n + 1):
-            total += prod(map(len, self._ranges(o)))
+        for o in self._walks():
+            ranges = self._ranges(o)
+            total += prod(map(len, ranges))
             if total > cap:
                 raise ValueError(
                     f"cyclic nerve degree {n} needs more than {cap} basis elements"
                 )
-        for o in product(range(data.count), repeat=n + 1):
-            self.extend((o, m) for m in product(*self._ranges(o)))
+            tuples.append((o, ranges))
+        for o, ranges in tuples:
+            self.extend((o, m) for m in product(*ranges))
         self.index = {key: i for i, key in enumerate(self)}
+
+    def _walks(self):
+        """The object tuples on which every factor has a nonempty range, in
+        lexicographic order: factor j steps from o[j] to o[j+1], and the
+        last factor wraps from o[n] back to o[0]."""
+        n = self.degree
+        objects = range(self.data.count)
+        steps = [[[c for c in objects if self._factor_range(j, c, a)] for a in objects]
+                 for j in range(n)]
+
+        def extend(o):
+            j = len(o) - 1
+            if j == n:
+                if self._factor_range(n, o[0], o[n]):
+                    yield o
+                return
+            for c in steps[j][o[j]]:
+                yield from extend(o + (c,))
+
+        for a in objects:
+            yield from extend((a,))
+
+    def _factor_range(self, j, s, t):
+        """The morphism indices of factor j, in Hom(P_s, P_t)."""
+        return range(self.data.dim(s, t))
 
     def _ranges(self, o):
         """The morphism indices of each factor of the keys on object tuple o."""
-        return [range(self.data.dim(*self.ends(o, j))) for j in range(self.degree + 1)]
+        return [self._factor_range(j, *self.ends(o, j)) for j in range(self.degree + 1)]
 
     def ends(self, o, j):
         """(source, target) objects of factor j of a key with object tuple o."""
@@ -255,14 +294,12 @@ class NormalizedNerveBasis(NerveBasis):
     degenerate target keys, which are zero in the quotient.
     """
 
-    def _ranges(self, o):
-        ranges = super()._ranges(o)
-        unit = self.data.unit_index
-        for j in range(1, self.degree + 1):
-            s, t = self.ends(o, j)
-            if s == t:
-                ranges[j] = [k for k in ranges[j] if k != unit[s]]
-        return ranges
+    def _factor_range(self, j, s, t):
+        indices = super()._factor_range(j, s, t)
+        if j and s == t:
+            unit = self.data.unit_index[s]
+            return [k for k in indices if k != unit]
+        return indices
 
     def degenerate(self, key):
         o, m = key

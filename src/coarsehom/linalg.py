@@ -32,11 +32,15 @@ This module is the one place that sums exact coefficients and lays out
 blocks.  A sparse sum anywhere in the package (a `Matrix` column, a chain,
 a trace, a hom-space constraint) is accumulated with plain + and *, which
 act alike on int and Fraction, and handed to `finished` once: reduce mod p,
-make integral rationals ints, and drop zeros.  A domain (QQ, ZZ, GF(p))
-has no arithmetic of its own: it coerces, and names its zero, one,
-characteristic and whether it is a field.  Block matrices (the total
-complex of a mixed complex, iterated mapping cones) are laid out by
-`Matrix.block`, never by hand-written offsets.
+make integral rationals ints, and drop zeros.  `Matrix` products and sums
+cost per nonzero term: each output column starts from its first term, and
+a column with one term is a stored column times a coefficient, canonical
+as it stands when that coefficient is one, or +-1 over Z and Q, so it is
+copied and not finished.  A domain (QQ, ZZ, GF(p)) has no arithmetic of
+its own: it coerces, and names its zero, one, characteristic and whether
+it is a field.  Block matrices (the total complex of a mixed complex,
+iterated mapping cones) are laid out by `Matrix.block`, never by
+hand-written offsets.
 
 `kernel_basis` uses fraction-free elimination in column order, with
 content normalization so entries stay small; its reduced echelon form is
@@ -178,6 +182,13 @@ def GF(p):
     if p not in _gf_cache:
         _gf_cache[p] = _PrimeField(p)
     return _gf_cache[p]
+
+
+def _units(domain):
+    """The coefficients c for which c * v is canonical for every canonical
+    v != 0, so a column times c needs no `finished`: one, and over Z and Q
+    also -1 (an int stays an int, a true fraction a true fraction)."""
+    return (domain.one,) if domain.char else (1, -1)
 
 
 class Matrix:
@@ -336,9 +347,18 @@ class Matrix:
         return out
 
     def scale(self, c):
-        c = self.domain.coerce(c)
+        dom = self.domain
+        c = dom.coerce(c)
+        out = Matrix(self.nrows, self.ncols, dom)
         cols = {j: {i: c * v for i, v in col.items()} for j, col in self._cols.items()}
-        return self._finished(self.nrows, self.ncols, cols)
+        if c in _units(dom):
+            out._cols = cols
+            return out
+        for j, col in cols.items():
+            col = finished(col, dom)
+            if col:
+                out._cols[j] = col
+        return out
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -349,28 +369,56 @@ class Matrix:
     def _combine(self, other, sign):
         """self + sign * other, sign = +-1."""
         self._check_same_shape(other)
-        cols = {}
-        for j in self._cols.keys() | other._cols.keys():
-            acc = cols[j] = dict(self._cols.get(j, ()))
-            for i, v in other._cols.get(j, {}).items():
-                acc[i] = acc.get(i, 0) + sign * v
-        return self._finished(self.nrows, self.ncols, cols)
+        dom = self.domain
+        out = Matrix(self.nrows, self.ncols, dom)
+        cols = out._cols
+        acols, bcols = self._cols, other._cols
+        for j, acol in acols.items():
+            acc = dict(acol)
+            bcol = bcols.get(j)
+            if bcol is not None:
+                for i, v in bcol.items():
+                    acc[i] = acc.get(i, 0) + sign * v
+                acc = finished(acc, dom)
+                if not acc:
+                    continue
+            cols[j] = acc
+        for j, bcol in bcols.items():
+            if j not in acols:
+                col = {i: sign * v for i, v in bcol.items()}
+                cols[j] = col if sign in _units(dom) else finished(col, dom)
+        return out
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         if self.domain is not other.domain:
             raise ValueError("domain mismatch in matrix product")
+        dom = self.domain
+        one = dom.one
+        units = _units(dom)
+        out = Matrix(self.nrows, other.ncols, dom)
+        cols = out._cols
         acols = self._cols
-        cols = {}
         for j, bcol in other._cols.items():
-            acc = cols[j] = {}
+            acc = None
             for k, bv in bcol.items():
                 acol = acols.get(k)
-                if acol:
-                    for i, av in acol.items():
-                        acc[i] = acc.get(i, 0) + av * bv
-        return self._finished(self.nrows, other.ncols, cols)
+                if acol is None:
+                    continue
+                if acc is None:
+                    acc = dict(acol) if bv == one else {i: av * bv for i, av in acol.items()}
+                    continue
+                for i, av in acol.items():
+                    acc[i] = acc.get(i, 0) + av * bv
+            if acc is None:
+                continue
+            if len(bcol) > 1 or bv not in units:
+                acc = finished(acc, dom)
+                if not acc:
+                    continue
+            cols[j] = acc
+        return out
 
     def mat_vec(self, vec):
         """Apply to a sparse column vector {index: value}."""
@@ -378,17 +426,6 @@ class Matrix:
         for k, v in vec.items():
             column.set(k, 0, v)
         return (self @ column).column(0)
-
-    def _finished(self, nrows, ncols, cols):
-        """A new matrix over this domain from raw columns {col: {row: value}}
-        summed with plain + and *, each column `finished` once."""
-        dom = self.domain
-        out = Matrix(nrows, ncols, dom)
-        for j, col in cols.items():
-            col = finished(col, dom)
-            if col:
-                out._cols[j] = col
-        return out
 
     def to_dense(self):
         rows = [[self.domain.zero] * self.ncols for _ in range(self.nrows)]

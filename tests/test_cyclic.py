@@ -3,15 +3,24 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import coarsehom.cyclic as cyclic_module
-from coarsehom.axioms import random_complementary_pair, random_equivalence, random_space
+from coarsehom.axioms import (
+    fuzz_suite,
+    random_complementary_pair,
+    random_equivalence,
+    random_space,
+)
 from coarsehom.bar_oracle import bar_complex
 from coarsehom.controlled import endomorphism_algebra, generator, identity_morphism, orbit_objects
 from coarsehom.cyclic import (
+    NerveBasis,
+    NormalizedNerveBasis,
+    _NerveData,
     additive_cyclic_nerve,
     algebra_cyclic_module,
     hc,
@@ -353,6 +362,99 @@ def test_normalized_and_full_nerve_agree_on_the_fuzz_probes():
         spread += len(endomorphism_algebra(gen).unit) > 1
     # the Morita generators include units spread over several basis vectors
     assert spread > 0
+
+
+def _every_tuple_keys(data, n, normalized):
+    """The degree-n keys listed over every object tuple, empty ones included,
+    in `product` order: the enumeration the closed walks must reproduce."""
+    keys = []
+    for o in product(range(data.count), repeat=n + 1):
+        ranges = []
+        for j in range(n + 1):
+            s, t = o[(j + 1) % (n + 1)], o[j]
+            ranges.append([k for k in range(data.dim(s, t))
+                           if not (normalized and j and s == t and k == data.unit_index[s])])
+        keys += [(o, m) for m in product(*ranges)]
+    return keys
+
+
+def _nerve_data_cases():
+    for probe in _fuzz_probes():
+        yield orbit_objects(probe, QQ)
+        yield [generator(probe, QQ)]
+    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
+        yield orbit_objects(g_can_min(group), QQ)
+
+
+def test_nerve_walk_lists_the_keys_of_every_tuple_in_order():
+    several = 0
+    for objects in _nerve_data_cases():
+        data = _NerveData(objects)
+        several += data.count > 1
+        for n in range(4):
+            for cls, normalized in ((NerveBasis, False), (NormalizedNerveBasis, True)):
+                basis = cls(data, n)
+                assert list(basis) == _every_tuple_keys(data, n, normalized)
+                assert basis.index == {key: i for i, key in enumerate(basis)}
+    assert several > 0
+
+
+def _zero_hom_probe():
+    """A fuzz probe with three orbits, one of them cut off from the others
+    (zero hom spaces) and two-dimensional hom spaces among the other two."""
+    for probe in _fuzz_probes():
+        objects = orbit_objects(probe, QQ)
+        data = _NerveData(objects)
+        dims = [[data.dim(s, t) for t in range(data.count)] for s in range(data.count)]
+        if dims == [[2, 0, 2], [0, 1, 0], [2, 0, 2]]:
+            return objects, data
+    raise AssertionError("no such fuzz probe")
+
+
+def _record_visits(mp):
+    visits = []
+    real = NerveBasis._ranges
+
+    def ranges(self, o):
+        visits.append((self.data, self.degree, o))
+        return real(self, o)
+
+    mp.setattr(NerveBasis, "_ranges", ranges)
+    return visits
+
+
+def test_nerve_cap_counts_keys_of_the_nonempty_tuples():
+    objects, data = _zero_hom_probe()
+    assert additive_cyclic_nerve(objects, 3, cap=257).dims == [5, 17, 65, 257]
+    with pytest.raises(ValueError, match="degree 3 needs more than 256 basis elements"):
+        additive_cyclic_nerve(objects, 3, cap=256)
+    assert normalized_mixed_complex(objects, 3, cap=108).dims == [5, 12, 36, 108]
+    with pytest.raises(ValueError, match="degree 3 needs more than 107 basis elements"):
+        normalized_mixed_complex(objects, 3, cap=107)
+    # the walk is lazy: 16 keys on (0, 0, 0, 0), then 16 more exceed the cap
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _record_visits(mp)
+        with pytest.raises(ValueError, match="degree 3 needs more than 16 basis elements"):
+            NerveBasis(data, 3, cap=16)
+    assert [o for _, _, o in visits] == [(0, 0, 0, 0), (0, 0, 0, 2)]
+
+
+def test_nerve_build_visits_only_tuples_with_keys():
+    objects, data = _zero_hom_probe()
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _record_visits(mp)
+        additive_cyclic_nerve(objects, 3)
+        normalized_mixed_complex(objects, 3)
+    for nerve_data, n, o in visits:
+        assert all(nerve_data.dim(o[(j + 1) % (n + 1)], o[j]) for j in range(n + 1)), o
+    keyed = sum(len({o for o, _ in _every_tuple_keys(data, n, normalized)})
+                for normalized in (False, True) for n in range(4))
+    assert len(visits) == keyed == 65
+    # over the whole fuzz corpus, 1,246 of the 14,370 object tuples carry keys
+    with pytest.MonkeyPatch.context() as mp:
+        visits = _record_visits(mp)
+        assert all(report.ok for report in fuzz_suite(0, 20, 3))
+    assert len(visits) == 1246
 
 
 @pytest.mark.parametrize("p, hh_ref, hc_ref", [

@@ -486,6 +486,85 @@ def test_matrix_kernel_matches_dense_fractions(domain, draw):
         assert (a - a).is_zero() and a.scale(0).is_zero()
 
 
+def _signed_permutation(rng, domain, k, signs):
+    m = Matrix(k, k, domain)
+    for j, i in enumerate(rng.sample(range(k), k)):
+        m.set(i, j, rng.choice(signs))
+    return m
+
+
+def _one_term_columns(rng, domain, k, m, coefficients):
+    b = Matrix(k, m, domain)
+    for j in range(m):
+        if k and rng.random() < 0.8:
+            b.set(rng.randrange(k), j, rng.choice(coefficients))
+    return b
+
+
+def _some_columns(m, rng):
+    return Matrix.from_columns([m.column(j) if rng.random() < 0.5 else {}
+                                for j in range(m.ncols)], m.nrows, m.domain)
+
+
+def _assert_stored_canonical(out, domain):
+    assert all(out._cols.values()), "empty column stored"
+    _assert_canonical([v for col in out._cols.values() for v in col.values()], domain)
+
+
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(2), GF(3), GF(97)],
+                         ids=["Q", "Z", "F2", "F3", "F97"])
+def test_matrix_one_term_columns_match_dense_fractions(domain):
+    # the columns a product or sum copies or negates instead of accumulating:
+    # one-term right-factor columns (unit, -1, 2 and a half that makes
+    # 2 * 1/2 integral), columns only one summand holds, and scale(+-1)
+    rng = random.Random(f"one-term {domain.name}")
+    coefficients = [1, -1, 2] + ([Fraction(1, 2)] if domain is QQ or domain.char > 2 else [])
+    values = [1, -1, 2, -4] + ([Fraction(2, 3)] if domain is QQ else [])
+    for _ in range(25):
+        n, k, m_ = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = _sparse_random(rng, domain, lambda r: r.choice(values), n, k)
+        da = _dense(a)
+        for b in (_signed_permutation(rng, domain, k, [1]),
+                  _signed_permutation(rng, domain, k, [1, -1]),
+                  _one_term_columns(rng, domain, k, m_, coefficients)):
+            db = _dense(b)
+            prod = a @ b
+            assert prod.to_dense() == _reduced(
+                [[sum((da[i][t] * db[t][j] for t in range(k)), Fraction(0))
+                  for j in range(b.ncols)] for i in range(n)], domain)
+            _assert_stored_canonical(prod, domain)
+        left, right = _some_columns(a, rng), _some_columns(
+            _sparse_random(rng, domain, lambda r: r.choice(values), n, k), rng)
+        dl, dr = _dense(left), _dense(right)
+        for out, x, y, sign in ((left + right, dl, dr, 1), (left - right, dl, dr, -1),
+                                (right - left, dr, dl, -1)):
+            ref = [[x[i][j] + sign * y[i][j] for j in range(k)] for i in range(n)]
+            assert out.to_dense() == _reduced(ref, domain)
+            _assert_stored_canonical(out, domain)
+        for c in (1, -1):
+            out = a.scale(c)
+            assert out.to_dense() == _reduced([[c * v for v in row] for row in da], domain)
+            _assert_stored_canonical(out, domain)
+    if domain is QQ:
+        prod = (Matrix.from_dense([[2], [Fraction(2, 3)]], QQ)
+                @ Matrix.from_dense([[Fraction(1, 2)]], QQ))
+        assert prod._cols == {0: {0: 1, 1: Fraction(1, 3)}} and type(prod.get(0, 0)) is int
+
+
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(3)], ids=["Q", "Z", "F3"])
+def test_products_and_sums_share_no_column_with_an_operand(domain):
+    a = Matrix.from_dense([[1, 2], [0, -1]], domain)
+    p = Matrix.from_dense([[0, 1], [1, 0]], domain)
+    z = Matrix.zeros(2, 2, domain)
+    before = a.to_dense()
+    for out in (a @ p, a @ Matrix.identity(2, domain), a + z, z + a, a - z, a.scale(1),
+                a.scale(-1)):
+        for i in range(2):
+            for j in range(2):
+                out.set(i, j, 5)
+        assert a.to_dense() == before
+
+
 def test_finished_is_canonical():
     raw = {0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0), 3: 0, 4: -3, 5: Fraction(-6, 3)}
     got = finished(raw, QQ)
