@@ -51,7 +51,6 @@ from .cyclic import (
     MixedComplex,
     TotComplex,
     additive_cyclic_nerve,
-    algebra_cyclic_module,
     hc,
     hh,
     to_mixed,
@@ -64,7 +63,7 @@ from .groups import (
     symmetric_group,
     trivial_group,
 )
-from .homology import nerve_profiles, ordinary_profile, space_mixed_complex
+from .homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
 from .linalg import (GF, QQ, ZZ, Complex, HomologyResult, InvariantError, Matrix, homology_at,
                      kernel_basis, rank, smith_normal_form)
 from .spaces import (

@@ -13,8 +13,8 @@ from .bar_oracle import bar_complex
 from .chains import CoarseChainComplex, pushforward_matrix
 from .controlled import HomSpace, generator, orbit_objects
 from .groups import cyclic_group, symmetric_group, trivial_group
-from .homology import nerve_profiles, ordinary_profile, space_mixed_complex
-from .linalg import QQ, ZZ, Complex, InvariantError, Matrix
+from .homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
+from .linalg import QQ, ZZ, Complex, InvariantError, Matrix, total_boundaries
 from .spaces import (
     GBornCoarseSpace,
     SpaceMap,
@@ -52,23 +52,14 @@ def _iterated_cone(stages, maps, max_degree, domain):
 
     stages[s][n] is the boundary C^s_n -> C^s_{n-1}; maps[s][k] is the
     degreewise chain map C^{s+1}_k -> C^s_k, and consecutive maps must
-    compose to zero on the nose.  Returns the total complex.
+    compose to zero on the nose.  Negating the odd stages makes every
+    square anticommute, so the cone is `total_boundaries` with step 1.
+    Returns the total complex.
     """
-    ns = len(stages)
-    out = [Matrix.zeros(0, stages[0][0].ncols, domain)]
-    for n in range(1, max_degree + 1):
-        # block s of degree n is C^s_(n-s): every block row holds a boundary
-        # and every block column a boundary or a map, so all sizes are fixed
-        cols = min(n, ns - 1) + 1
-        grid = [[None] * cols for _ in range(min(n - 1, ns - 1) + 1)]
-        for s in range(cols):
-            k = n - s
-            if k >= 1:
-                grid[s][s] = stages[s][k] if s % 2 == 0 else stages[s][k].scale(-1)
-            if s >= 1:
-                grid[s - 1][s] = maps[s - 1][k]
-        out.append(Matrix.block(grid, domain))
-    return Complex(out, "iterated cone")
+    # stage s is read up to degree max_degree - s
+    columns = [d if s % 2 == 0 else [m.scale(-1) for m in d[: max_degree + 1 - s]]
+               for s, d in enumerate(stages)]
+    return Complex(total_boundaries(columns, maps, 1, max_degree, domain), "iterated cone")
 
 
 def _acyclic_degrees(cone, max_degree):
@@ -107,19 +98,21 @@ def check_coarse_invariance(f, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
     return AxiomReport("coarse_invariance", not details, details)
 
 
-def _excision_cone(d, maps, push, max_degree, domain):
-    """The iterated cone of C(A n B) -> C(A) + C(B) -> C(X) for a square of
-    inclusions ja, jb, ia, ib (`maps`, in that order).
+def _excision_cone(square, d, push, inclusions, max_degree, domain):
+    """The iterated cone of C(A n B) -> C(A) + C(B) -> C(X) for the square
+    of inclusions ja, jb, ia, ib between the complexes of X, A, B, A n B.
 
-    d holds the boundaries of X, A, B and A n B by degree, and push(map, n)
-    is the degree-n matrix of one inclusion.
+    d holds the complexes' boundaries by degree, and push(src, tgt, f, n)
+    is the degree-n matrix of an inclusion f between two of them.
     """
+    cx, ca, cb, cab = square
     dx, da, db, dab = d
-    ja, jb, ia, ib = maps
+    ja, jb, ia, ib = inclusions
     degrees = range(max_degree + 1)
     mid = [Matrix.block([[da[n], None], [None, db[n]]], domain) for n in degrees]
-    u1 = [Matrix.block([[push(ja, n), push(jb, n).scale(-1)]], domain) for n in degrees]
-    u2 = [Matrix.block([[push(ia, n)], [push(ib, n)]], domain) for n in degrees]
+    u1 = [Matrix.block([[push(ca, cx, ja, n), push(cb, cx, jb, n).scale(-1)]], domain)
+          for n in degrees]
+    u2 = [Matrix.block([[push(cab, ca, ia, n)], [push(cab, cb, ib, n)]], domain) for n in degrees]
     return _iterated_cone([dx, mid, dab], [u1, u2], max_degree, domain)
 
 
@@ -144,17 +137,16 @@ def check_excision(space, z, y, max_degree=3, chain_domain=ZZ, nerve_domain=QQ):
     ia = SpaceMap(ab_space, a_space, [pos_a[p] for p in ab_idx])
     ib = SpaceMap(ab_space, b_space, [pos_b[p] for p in ab_idx])
     spaces = (space, a_space, b_space, ab_space)
-    cx, ca, cb, cab = (CoarseChainComplex(sp, max_degree, chain_domain) for sp in spaces)
-    maps = ((ca, cx, ja), (cb, cx, jb), (cab, ca, ia), (cab, cb, ib))
-    cone = _excision_cone([c.d for c in (cx, ca, cb, cab)], maps,
-                          lambda m, n: pushforward_matrix(*m, n), max_degree, chain_domain)
+    inclusions = (ja, jb, ia, ib)
+    square = [CoarseChainComplex(sp, max_degree, chain_domain) for sp in spaces]
+    cone = _excision_cone(square, [c.d for c in square], pushforward_matrix, inclusions,
+                          max_degree, chain_domain)
     details += [f"ordinary {line}" for line in _acyclic_degrees(cone, max_degree)]
-    mixed = [space_mixed_complex(sp, max_degree, nerve_domain) for sp in spaces]
-    d = [[m.b(n) for n in range(max_degree + 1)] for m in mixed]
-    nx, na, nb, nab = (m.source for m in mixed)
-    maps = ((na, nx, ja), (nb, nx, jb), (nab, na, ia), (nab, nb, ib))
-    cone = _excision_cone(d, maps, lambda m, n: nerve_pushforward_matrix(*m, n),
-                          max_degree, nerve_domain)
+    # pushing an orbit-regular object forward sends identities to
+    # identities, so CN(f_*) descends to the normalized nerves
+    square = [nerve_complex(sp, max_degree, nerve_domain) for sp in spaces]
+    cone = _excision_cone(square, [m.b_complex.d for m in square], nerve_pushforward_matrix,
+                          inclusions, max_degree, nerve_domain)
     details += [f"hochschild {line}" for line in _acyclic_degrees(cone, max_degree)]
     return AxiomReport("excision", not details, details)
 
@@ -254,6 +246,10 @@ def check_identity_suite(space, max_degree=4, domain=QQ):
 
 # -- randomized generators ----------------------------------------------------
 
+MAX_POINTS = 6  # the largest space the generators draw
+BUDGET_END_CAP = 100_000
+BUDGET_NERVE_CAP = 8000
+
 _GROUP_MAKERS = (
     trivial_group,
     lambda: cyclic_group(2),
@@ -275,9 +271,9 @@ def _free_space(group, n_orbits, gen_pairs, prefix="p"):
     return GBornCoarseSpace([f"{prefix}{i}" for i in range(n)], gen_pairs, group, action)
 
 
-def nerve_fits_budget(space, domain=QQ, end_cap=100_000, nerve_cap=8000):
-    """Degree-four nerves must stay workable for both object conventions."""
-    objs = orbit_objects(space, domain)
+def nerve_fits_budget(space):
+    """Degree-four nerves over Q must stay workable for both object conventions."""
+    objs = orbit_objects(space, QQ)
     r = len(objs)
     h = [[HomSpace(objs[s], objs[t]).dim for t in range(r)] for s in range(r)]
     power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -288,30 +284,30 @@ def nerve_fits_budget(space, domain=QQ, end_cap=100_000, nerve_cap=8000):
         ]
     nerve_dim = sum(power[i][i] for i in range(r))
     end_dim = sum(sum(row) for row in h)
-    return end_dim ** 5 <= end_cap and nerve_dim <= nerve_cap
+    return end_dim ** 5 <= BUDGET_END_CAP and nerve_dim <= BUDGET_NERVE_CAP
 
 
-def random_space(rng, max_points=6, groups=_GROUP_MAKERS):
-    """A random free G-space on at most max_points points, nerve-budgeted."""
+def random_space(rng):
+    """A random free G-space on at most MAX_POINTS points, nerve-budgeted."""
     while True:
-        group = rng.choice(groups)()
+        group = rng.choice(_GROUP_MAKERS)()
         g = len(group)
-        if g > max_points:
+        if g > MAX_POINTS:
             continue
-        n = rng.randint(1, max_points // g) * g
+        n = rng.randint(1, MAX_POINTS // g) * g
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
         space = _free_space(group, n // g, pairs)
         if nerve_fits_budget(space):
             return space
 
 
-def random_equivalence(rng, max_points=6):
+def random_equivalence(rng):
     """A non-identity coarse equivalence built by gluing on redundant orbits."""
-    makers = [m for m in _GROUP_MAKERS if 2 * len(m()) <= max_points]
+    makers = [m for m in _GROUP_MAKERS if 2 * len(m()) <= MAX_POINTS]
     while True:
         group = rng.choice(makers)()
         g = len(group)
-        total = max_points // g
+        total = MAX_POINTS // g
         r_y = rng.randint(1, total - 1)
         extra = rng.randint(1, total - r_y)
         n_y = r_y * g
@@ -333,9 +329,9 @@ def random_equivalence(rng, max_points=6):
         return f
 
 
-def random_complementary_pair(rng, max_points=6):
+def random_complementary_pair(rng):
     """(space, z, y) with y component-closed and z covering the rest."""
-    space = random_space(rng, max_points)
+    space = random_space(rng)
     comps = space.components()
     seen = set()
     classes = []

@@ -200,17 +200,16 @@ class MooreBasis(OrbitBasis):
 
     @staticmethod
     def _tuples(first, component, n):
-        """Every (n+1)-tuple from `first` into its component whose neighbours differ."""
+        """Every (n+1)-tuple from `first` into its component whose neighbours
+        differ, depth first on an explicit stack (no self-holding closure)."""
         others = {x: [y for y in component if y != x] for x in component}
-
-        def grow(prefix, k):
-            if k == n:
+        stack = [(first,)]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) > n:
                 yield prefix
-                return
-            for x in others[prefix[-1]]:
-                yield from grow(prefix + (x,), k + 1)
-
-        return grow((first,), 0)
+            else:
+                stack.extend(prefix + (x,) for x in reversed(others[prefix[-1]]))
 
     @staticmethod
     def _kept(tup):

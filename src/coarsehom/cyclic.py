@@ -1,9 +1,9 @@
 """Cyclic modules, mixed complexes, and Hochschild/cyclic homology.
 
-The additive cyclic nerve of a list of controlled objects and the cyclic
-module of a finite algebra are built by one routine over a small "category
-data" interface: basis dimensions per hom space, composition coordinates,
-and unit coordinates.  Degree n of the nerve is the direct sum, over
+The additive cyclic nerve of a list of controlled objects is built from
+its nerve data, `_NerveData`: basis dimensions per hom space, composition
+coordinates, and unit coordinates.  One object gives the cyclic module of
+its endomorphism algebra.  Degree n of the nerve is the direct sum, over
 (n+1)-tuples of objects, of Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on}).
 
 The degree-n basis is one value, `NerveBasis`: the keys (object tuple,
@@ -24,9 +24,10 @@ vector and checks the unit law, so the degenerate keys span the images of
 the degeneracies, a subcomplex with the same HH and HC as the whole
 (Eilenberg-Mac Lane).  `NormalizedNerveBasis` lists only the other keys,
 and its operators are b, from the face images, and B = sN: on the
-quotient t s N is zero, so the (1 - t) drops out (Loday 2.1.9).  The full
-nerve (`additive_cyclic_nerve`, `to_mixed`) is built only for the trace,
-the nerve pushforward and the identity suite.
+quotient t s N is zero, so the (1 - t) drops out (Loday 2.1.9).  Either
+mixed complex carries its bases, so the nerve pushforward runs on both
+kinds.  The full nerve (`additive_cyclic_nerve`, `to_mixed`) is built
+only where t is needed: for the trace and the identity suite.
 
 Sign conventions (pinned by the identity suite below, on the full nerve):
     d_i  composes adjacent factors, d_n wraps unsigned,
@@ -49,7 +50,7 @@ from itertools import product
 from math import prod
 
 from .controlled import HomSpace, compose, identity_morphism
-from .linalg import QQ, Complex, InvariantError, Matrix, finished
+from .linalg import QQ, Complex, InvariantError, Matrix, finished, total_boundaries
 
 DEFAULT_MAX_DEGREE = 4
 DEFAULT_BASIS_CAP = 200_000
@@ -163,28 +164,6 @@ class _NerveData:
                             f"unit law id . f = f = f . id on Hom(P_{s}, P_{t})")
 
 
-class _AlgebraData:
-    """One-object category data straight from structure constants."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.domain = algebra.domain
-        self.objects = None
-
-    @property
-    def count(self):
-        return 1
-
-    def dim(self, s, t):
-        return self.algebra.dimension
-
-    def comp(self, s, mid, t, i, j):
-        return self.algebra.struct[i][j]
-
-    def unit(self, a):
-        return self.algebra.unit
-
-
 class NerveBasis(list):
     """The degree-n basis: (object tuple o, morphism tuple m) keys in
     lexicographic order, with their index.
@@ -224,23 +203,21 @@ class NerveBasis(list):
     def _walks(self):
         """The object tuples on which every factor has a nonempty range, in
         lexicographic order: factor j steps from o[j] to o[j+1], and the
-        last factor wraps from o[n] back to o[0]."""
+        last factor wraps from o[n] back to o[0].  The depth-first walk
+        keeps its own stack, children pushed last-first, so no closure
+        holds the basis."""
         n = self.degree
         objects = range(self.data.count)
         steps = [[[c for c in objects if self._factor_range(j, c, a)] for a in objects]
                  for j in range(n)]
-
-        def extend(o):
+        stack = [(a,) for a in reversed(objects)]
+        while stack:
+            o = stack.pop()
             j = len(o) - 1
-            if j == n:
-                if self._factor_range(n, o[0], o[n]):
-                    yield o
-                return
-            for c in steps[j][o[j]]:
-                yield from extend(o + (c,))
-
-        for a in objects:
-            yield from extend((a,))
+            if j < n:
+                stack.extend(o + (c,) for c in reversed(steps[j][o[j]]))
+            elif self._factor_range(n, o[0], o[n]):
+                yield o
 
     def _factor_range(self, j, s, t):
         """The morphism indices of factor j, in Hom(P_s, P_t)."""
@@ -404,16 +381,17 @@ class CyclicModule:
     """Face, degeneracy, and cyclic matrices of a cyclic k-module, degrees <= N.
 
     Faces and t are built once; a degeneracy is built from the basis on call.
+    The degree cap, the nerve data and its domain are read off the bases.
     """
 
-    def __init__(self, max_degree, domain, basis, faces, cyc, data):
-        self.max_degree = max_degree
-        self.domain = domain
+    def __init__(self, basis, faces, cyc):
         self.basis = basis
+        self.max_degree = len(basis) - 1
+        self.data = basis[0].data
+        self.domain = self.data.domain
         self.dims = [len(b) for b in basis]
         self._faces = faces
         self._cyc = cyc
-        self.data = data
 
     def face(self, n, i):
         if not (1 <= n <= self.max_degree and 0 <= i <= n):
@@ -468,38 +446,35 @@ class CyclicModule:
         return True
 
 
-def _build(data, max_degree, cap):
-    basis = [NerveBasis(data, n, cap) for n in range(max_degree + 1)]
-    faces = [[]] + [[_face(basis[n], basis[n - 1], i) for i in range(n + 1)]
-                    for n in range(1, max_degree + 1)]
-    cyc = [_rotation(b) for b in basis]
-    mod = CyclicModule(max_degree, data.domain, basis, faces, cyc, data)
-    mod.check_identities()
-    return mod
-
-
 def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP, domain=None):
-    """The cyclic module of the additive category spanned by the objects.
+    """The cyclic module of the additive category spanned by the objects,
+    with its simplicial and cyclic identities checked.
 
     An empty object list gives the zero module over `domain` (default Q);
     otherwise a given `domain` must be the objects' own.
     """
-    return _build(_NerveData(objects, domain), max_degree, cap)
-
-
-def algebra_cyclic_module(algebra, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP):
-    """The cyclic module with degree n equal to the (n+1)-fold tensor power."""
-    return _build(_AlgebraData(algebra), max_degree, cap)
+    data = _NerveData(objects, domain)
+    basis = [NerveBasis(data, n, cap) for n in range(max_degree + 1)]
+    faces = [[]] + [[_face(basis[n], basis[n - 1], i) for i in range(n + 1)]
+                    for n in range(1, max_degree + 1)]
+    module = CyclicModule(basis, faces, [_rotation(b) for b in basis])
+    module.check_identities()
+    return module
 
 
 class MixedComplex:
-    """(C, b, B): b^2 = 0 checked by the b-complex, B^2 = 0 and bB + Bb = 0 here."""
+    """(C, b, B) on the nerve bases `basis`: b^2 = 0 checked by the
+    b-complex, B^2 = 0 and bB + Bb = 0 here.  The degree cap, domain and
+    dimensions are read off b, and the nerve data off the bases.
+    """
 
-    def __init__(self, max_degree, domain, dims, b, big_b, source=None):
-        self.max_degree = max_degree
-        self.domain = domain
-        self.dims = dims
+    def __init__(self, b, big_b, basis, source=None):
         self.b_complex = Complex(b, "Hochschild complex")
+        self.max_degree = self.b_complex.max_degree
+        self.domain = self.b_complex.domain
+        self.dims = self.b_complex.dims
+        self.basis = basis
+        self.data = basis[0].data
         self._B = big_b
         self.source = source
         self._tot = None
@@ -537,9 +512,7 @@ def to_mixed(module):
     identity insertion, and (1 - t).
     """
     N = module.max_degree
-    dom = module.domain
-    dims = module.dims
-    b = [Matrix(0, dims[0], dom)]
+    b = [Matrix(0, module.dims[0], module.domain)]
     for n in range(1, N + 1):
         acc = module.face(n, 0)
         for i in range(1, n + 1):
@@ -549,7 +522,7 @@ def to_mixed(module):
     for n in range(N):
         front = _insert_unit(module.basis[n], module.basis[n + 1], -1)
         big.append(connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1)))
-    return MixedComplex(N, dom, dims, b, big, source=module)
+    return MixedComplex(b, big, module.basis, source=module)
 
 
 def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP,
@@ -564,36 +537,27 @@ def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT
     """
     data = _NerveData(objects, domain)
     basis = [NormalizedNerveBasis(data, n, cap) for n in range(max_degree + 1)]
-    dom = data.domain
-    b = [Matrix(0, len(basis[0]), dom)]
+    b = [Matrix(0, len(basis[0]), data.domain)]
     b += [_normalized_b(basis[n], basis[n - 1]) for n in range(1, max_degree + 1)]
     big = [_normalized_connes(basis[n], basis[n + 1]) for n in range(max_degree)]
-    return MixedComplex(max_degree, dom, [len(x) for x in basis], b, big)
+    return MixedComplex(b, big, basis)
 
 
 class TotComplex(Complex):
     """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ...
 
-    d_n is a block grid whose block j is C_(n-2j): b maps block j of
-    Tot_n to block j of Tot_(n-1), and B maps it to block j - 1.  The
-    blocks of d_(n-1) d_n are b^2, bB + Bb and B^2, so the identities
-    already checked imply d^2 = 0 in every degree built here; the check
-    `Complex` makes anyway only guards the `Matrix.block` layout.
+    It is `linalg.total_boundaries` with step 2 on columns of b joined
+    by B: block j of Tot_n is C_(n-2j), b maps it to block j of Tot_(n-1)
+    and B to block j - 1.  The blocks of d_(n-1) d_n are b^2, bB + Bb and
+    B^2, so the identities already checked imply d^2 = 0 in every degree
+    built here; the check `Complex` makes anyway only guards the layout.
     """
 
     def __init__(self, mixed):
         N = mixed.max_degree
-        dom = mixed.domain
-        d = [Matrix(0, mixed.dims[0], dom)]
-        for n in range(1, N + 1):
-            grid = [[None] * (n // 2 + 1) for _ in range((n - 1) // 2 + 1)]
-            for j in range(n // 2 + 1):
-                deg = n - 2 * j
-                if deg >= 1:
-                    grid[j][j] = mixed.b(deg)
-                if j >= 1:
-                    grid[j - 1][j] = mixed.B(deg)
-            d.append(Matrix.block(grid, dom))
+        big_b = [mixed.B(n) for n in range(N)]
+        d = total_boundaries([mixed.b_complex.d] * (N // 2 + 1), [big_b] * (N // 2), 2, N,
+                             mixed.domain)
         super().__init__(d, "total complex")
 
 

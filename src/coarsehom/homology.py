@@ -2,7 +2,7 @@
 
 from .chains import CoarseChainComplex
 from .controlled import orbit_objects, require_nerve_admissible
-from .cyclic import additive_cyclic_nerve, hc, hh, normalized_mixed_complex, to_mixed
+from .cyclic import TotComplex, additive_cyclic_nerve, normalized_mixed_complex, to_mixed
 from .linalg import QQ, ZZ
 
 
@@ -19,23 +19,25 @@ def _nerve_objects(space, domain, objects):
 
 def space_mixed_complex(space, max_degree=3, domain=QQ, objects=None):
     """The mixed complex of the full additive cyclic nerve on orbit-regular
-    objects, with the cyclic module as its `source`: what the trace, the
-    nerve pushforward and the identity suite need."""
+    objects, with the cyclic module as its `source`: what needs t, the
+    trace and the identity suite, and nothing else."""
     nerve = additive_cyclic_nerve(_nerve_objects(space, domain, objects), max_degree,
                                   domain=domain)
     return to_mixed(nerve)
 
 
-def nerve_profiles(space, max_degree=3, domain=QQ, objects=None):
-    """(Hochschild, cyclic) betti lists of one normalized nerve build.
+def nerve_complex(space, max_degree=3, domain=QQ, objects=None):
+    """The mixed complex of the normalized cyclic nerve on orbit-regular
+    objects (`cyclic.normalized_mixed_complex`), with its bases: the one
+    builder of a space's XHH and XHC complex.  Its HH and HC equal the
+    full nerve's."""
+    return normalized_mixed_complex(_nerve_objects(space, domain, objects), max_degree,
+                                    domain=domain)
 
-    The homology is that of the normalized cyclic nerve
-    (`cyclic.normalized_mixed_complex`), which equals that of the full one;
-    the full nerve is never built.
-    """
-    mixed = normalized_mixed_complex(_nerve_objects(space, domain, objects), max_degree,
-                                     domain=domain)
-    return (
-        [hh(mixed, n).betti for n in range(max_degree)],
-        [hc(mixed, n).betti for n in range(max_degree)],
-    )
+
+def nerve_profiles(space, max_degree=3, domain=QQ, objects=None):
+    """(Hochschild, cyclic) betti lists of one normalized nerve build."""
+    mixed = nerve_complex(space, max_degree, domain, objects)
+    complexes = mixed.b_complex, TotComplex(mixed)
+    del mixed  # its bases and nerve data go before any boundary is reduced
+    return tuple([cx.homology(n).betti for n in range(max_degree)] for cx in complexes)

@@ -38,9 +38,9 @@ a column with one term is a stored column times a coefficient, canonical
 as it stands when that coefficient is one, or +-1 over Z and Q, so it is
 copied and not finished.  A domain (QQ, ZZ, GF(p)) has no arithmetic of
 its own: it coerces, and names its zero, one, characteristic and whether
-it is a field.  Block matrices (the total complex of a mixed complex,
-iterated mapping cones) are laid out by `Matrix.block`, never by
-hand-written offsets.
+it is a field.  Block matrices are laid out by `Matrix.block`, never by
+hand-written offsets, and the block grid of a total complex (of a mixed
+complex, or of an iterated mapping cone) by `total_boundaries` alone.
 
 `kernel_basis` uses fraction-free elimination in column order, with
 content normalization so entries stay small; its reduced echelon form is
@@ -458,6 +458,32 @@ class Matrix:
             raise ValueError("shape mismatch")
         if self.domain is not other.domain:
             raise ValueError("domain mismatch")
+
+
+def total_boundaries(columns, maps, step, max_degree, domain):
+    """Boundaries d[0..max_degree] of the total complex of a double complex
+    whose squares anticommute.
+
+    columns[s][k] is the boundary out of degree k of column s, which sits
+    at total degree k + step * s; maps[s][k] sends column s + 1 in degree k
+    to column s in degree k + step - 1.  Block s of Tot_n is column s in
+    degree n - step * s, and d_n sends it to block s of Tot_(n-1) by the
+    column's boundary and to block s - 1 by the map.  No sign is added.
+    """
+    def blocks(n):
+        return range(min(n // step, len(columns) - 1) + 1)
+
+    d = [Matrix(0, columns[0][0].ncols, domain)]
+    for n in range(1, max_degree + 1):
+        grid = [[None] * len(blocks(n)) for _ in blocks(n - 1)]
+        for s in blocks(n):
+            k = n - step * s
+            if k >= 1:
+                grid[s][s] = columns[s][k]
+            if s >= 1:
+                grid[s - 1][s] = maps[s - 1][k]
+        d.append(Matrix.block(grid, domain))
+    return d
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from itertools import product
 from .groups import trivial_group
 from .linalg import InvariantError
 
+SEARCH_BOUND = 200_000  # candidate maps an exhaustive search may try
+
 
 class GBornCoarseSpace:
     """Immutable finite G-bornological coarse space.
@@ -280,7 +282,7 @@ def are_close(f, g):
     return all(f.target.related(f(x), g(x)) for x in range(f.source.n))
 
 
-def _equivariant_maps(source, target, bound):
+def _equivariant_maps(source, target):
     """All equivariant set maps source -> target, built orbitwise.
 
     A map is fixed by choosing, for each source orbit representative, an
@@ -297,8 +299,8 @@ def _equivariant_maps(source, target, bound):
     total = 1
     for c in choices:
         total *= len(c)
-        if total > bound:
-            raise ValueError(f"equivariant map search exceeds bound ({total} > {bound})")
+        if total > SEARCH_BOUND:
+            raise ValueError(f"equivariant map search exceeds bound ({total} > {SEARCH_BOUND})")
     for picks in product(*choices):
         assignment = [None] * source.n
         ok = True
@@ -317,7 +319,7 @@ def _equivariant_maps(source, target, bound):
             yield SpaceMap(source, target, tuple(assignment))
 
 
-def is_coarse_equivalence(f, search_bound=200_000):
+def is_coarse_equivalence(f):
     """Exhaustive search for a controlled equivariant inverse up to closeness."""
     if not is_morphism(f).ok:
         return False
@@ -326,7 +328,7 @@ def is_coarse_equivalence(f, search_bound=200_000):
         return src.n == tgt.n
     id_src = SpaceMap.identity(src)
     id_tgt = SpaceMap.identity(tgt)
-    for g in _equivariant_maps(tgt, src, search_bound):
+    for g in _equivariant_maps(tgt, src):
         if not is_morphism(g).ok:
             continue
         if are_close(g.compose(f), id_src) and are_close(f.compose(g), id_tgt):
@@ -374,11 +376,11 @@ def is_flasqueness_witness(x, f):
     return True
 
 
-def has_flasqueness_witness(x, search_bound=200_000):
+def has_flasqueness_witness(x):
     """Exhaustive search over all self-maps; only feasible for tiny carriers."""
     if x.n == 0:
         return True
-    if x.n**x.n > search_bound:
+    if x.n**x.n > SEARCH_BOUND:
         raise ValueError("self-map search exceeds bound")
     for assignment in product(range(x.n), repeat=x.n):
         if is_flasqueness_witness(x, SpaceMap(x, x, assignment)):

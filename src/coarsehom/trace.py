@@ -18,8 +18,9 @@ and the full tuple complex `chains.TupleChainComplex`, whose bases and
 boundaries it reads.  It is the unnormalized complex, not XH's Moore
 quotient: t and the front insertion below do not descend to the
 quotient.  Nerve keys and their factors are read through
-`cyclic.NerveBasis`, and the nerve pushforward CN(f_*), a map of cyclic
-modules, is one `NerveBasis.matrix` call between two nerves.
+`cyclic.NerveBasis`.  The nerve pushforward CN(f_*), a map of cyclic
+modules, is one `NerveBasis.matrix` call between two nerves of one kind:
+two full nerves, or two normalized ones, which is how excision uses it.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
@@ -247,10 +248,16 @@ def nerve_pushforward_matrix(src, tgt, f, n):
     On free actions the pushforward of an orbit-regular object along an
     equivariant controlled map is literally the orbit-regular object of the
     image orbit, so each factor's image expands in the target hom bases.
+    `src` and `tgt` are cyclic modules or mixed complexes, both on full or
+    both on normalized nerve bases: the pushforward sends identities to
+    identities, so it descends to the normalized nerves, where the
+    degenerate target keys are dropped.
     """
     if (any(ob.space is not f.source for ob in src.data.objects)
             or any(ob.space is not f.target for ob in tgt.data.objects)):
         raise ValueError("map endpoints do not match the nerves' objects")
+    if type(src.basis[n]) is not type(tgt.basis[n]) or src.domain is not tgt.domain:
+        raise ValueError("nerve pushforward joins two nerves of one kind and domain")
     tgt_orbits = f.target.orbits()
     orbit_map = []
     for orb in f.source.orbits():

@@ -51,7 +51,8 @@ from coarsehom import (
     trivial_group,
 )
 from coarsehom.chains import CoarseChainComplex, MooreBasis, TupleChainComplex
-from coarsehom.cyclic import hh
+from coarsehom.cyclic import hc, hh
+from coarsehom.linalg import GF
 
 
 N_SPACES = 25
@@ -123,6 +124,16 @@ def test_criterion_03_coset_tensor_matches_subgroup_algebra():
     oracle = bar_complex(cyclic_group(3).table, 3, QQ)
     assert [hh(mixed, n).betti for n in range(3)] == [oracle.hh(n) for n in range(3)]
     assert time.perf_counter() - t0 < 120.0
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_criterion_03b_normalized_nerve_profiles_equal_the_full_nerve(corpus, domain):
+    """XHH and XHC of the normalized nerve equal those of the full nerve on
+    every fuzzed space (Eilenberg-Mac Lane; B = sN on the quotient)."""
+    for space in corpus:
+        full = space_mixed_complex(space, 4, domain)
+        expected = [hh(full, n).betti for n in range(4)], [hc(full, n).betti for n in range(4)]
+        assert nerve_profiles(space, 4, domain) == expected
 
 
 def test_criterion_04_mixed_identities_on_fuzzed_nerves(contexts):

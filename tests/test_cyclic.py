@@ -1,6 +1,7 @@
 """Cyclic nerves, mixed complexes, HH and HC against hand-computed values."""
 
 import ast
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,12 @@ import pytest
 
 import coarsehom.cyclic as cyclic_module
 from coarsehom.axioms import (
+    check_coarse_invariance,
+    check_excision,
+    check_flasqueness,
+    check_identity_suite,
+    check_morita,
+    check_u_continuity,
     fuzz_suite,
     random_complementary_pair,
     random_equivalence,
@@ -18,11 +25,11 @@ from coarsehom.axioms import (
 from coarsehom.bar_oracle import bar_complex
 from coarsehom.controlled import endomorphism_algebra, generator, identity_morphism, orbit_objects
 from coarsehom.cyclic import (
+    DEFAULT_BASIS_CAP,
     NerveBasis,
     NormalizedNerveBasis,
     _NerveData,
     additive_cyclic_nerve,
-    algebra_cyclic_module,
     hc,
     hh,
     normalized_mixed_complex,
@@ -30,13 +37,19 @@ from coarsehom.cyclic import (
     tot_B,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
-from coarsehom.homology import nerve_profiles, space_mixed_complex
+from coarsehom.homology import nerve_profiles, ordinary_profile, space_mixed_complex
 from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
+from coarsehom.trace import TraceContext
 
 
 def algebra_of(space, domain=QQ):
     return endomorphism_algebra(generator(space, domain))
+
+
+def generator_nerve(space, max_degree, domain=QQ, cap=DEFAULT_BASIS_CAP):
+    """The one-object nerve: the cyclic module of End(generator)."""
+    return additive_cyclic_nerve([generator(space, domain)], max_degree, cap)
 
 
 def two_points(connected):
@@ -67,7 +80,7 @@ def commutator_hh0(alg):
 
 
 def test_ground_field_dims_and_homology():
-    m = algebra_cyclic_module(algebra_of(point_space()), 4)
+    m = generator_nerve(point_space(), 4)
     assert m.dims == [1, 1, 1, 1, 1]
     mix = to_mixed(m)
     assert [hh(mix, n).betti for n in range(4)] == [1, 0, 0, 0]
@@ -76,7 +89,7 @@ def test_ground_field_dims_and_homology():
 
 def test_ground_field_B_pattern():
     # B alternates: multiplication by 2, 0, by 6, ... on one-dimensional slots
-    mix = to_mixed(algebra_cyclic_module(algebra_of(point_space()), 4))
+    mix = to_mixed(generator_nerve(point_space(), 4))
     assert mix.B(0).to_dense() == [[Fraction(2)]]
     assert mix.B(1).to_dense() == [[Fraction(0)]]
     assert mix.B(2).to_dense() == [[Fraction(6)]]
@@ -85,7 +98,7 @@ def test_ground_field_B_pattern():
 
 
 def test_tot_of_one_dimensional_mixed_complex():
-    mix = to_mixed(algebra_cyclic_module(algebra_of(point_space()), 4))
+    mix = to_mixed(generator_nerve(point_space(), 4))
     tot = tot_B(mix)
     assert tot.dims == [1, 1, 2, 2, 3]
 
@@ -94,23 +107,23 @@ def test_tot_of_one_dimensional_mixed_complex():
 
 
 def test_product_algebra_dims_are_powers():
-    m = algebra_cyclic_module(algebra_of(two_points(False)), 3)
+    m = generator_nerve(two_points(False), 3)
     assert m.dims == [2, 4, 8, 16]
 
 
 def test_product_algebra_homology():
-    mix = to_mixed(algebra_cyclic_module(algebra_of(two_points(False)), 4))
+    mix = to_mixed(generator_nerve(two_points(False), 4))
     assert [hh(mix, n).betti for n in range(4)] == [2, 0, 0, 0]
     assert [hc(mix, n).betti for n in range(4)] == [2, 0, 2, 0]
 
 
 def test_matrix_algebra_dims():
-    m = algebra_cyclic_module(algebra_of(two_points(True)), 1)
+    m = generator_nerve(two_points(True), 1)
     assert m.dims == [4, 16]
 
 
 def test_matrix_algebra_is_morita_trivial():
-    mix = to_mixed(algebra_cyclic_module(algebra_of(two_points(True)), 3))
+    mix = to_mixed(generator_nerve(two_points(True), 3))
     assert [hh(mix, n).betti for n in range(3)] == [1, 0, 0]
     assert hc(mix, 0).betti == 1
 
@@ -120,15 +133,14 @@ def test_matrix_algebra_is_morita_trivial():
 
 def test_group_algebra_hh0_counts_conjugacy_classes():
     for grp, classes in ((cyclic_group(2), 2), (cyclic_group(3), 3), (symmetric_group(3), 3)):
-        alg = algebra_of(g_can_min(grp))
-        assert commutator_hh0(alg) == classes
-        mix = to_mixed(algebra_cyclic_module(alg, 2))
+        assert commutator_hh0(algebra_of(g_can_min(grp))) == classes
+        mix = to_mixed(generator_nerve(g_can_min(grp), 2))
         assert hh(mix, 0).betti == classes
 
 
 def test_hh0_equals_commutator_oracle_mod_p():
     alg = algebra_of(g_can_min(cyclic_group(2)), GF(3))
-    mix = to_mixed(algebra_cyclic_module(alg, 2))
+    mix = to_mixed(generator_nerve(g_can_min(cyclic_group(2)), 2, GF(3)))
     assert hh(mix, 0).betti == commutator_hh0(alg) == 2
 
 
@@ -143,33 +155,33 @@ def test_z2_nerve_full_profile():
 # ------------------------------------------------- nerve/algebra agreement
 
 
-def test_single_object_nerve_matches_algebra_module():
-    x = g_can_min(cyclic_group(2))
-    gen = generator(x, QQ)
-    nerve = additive_cyclic_nerve([gen], 3)
-    alg = algebra_cyclic_module(endomorphism_algebra(gen), 3)
-    assert nerve.dims == alg.dims
-    for n in range(1, 4):
-        for i in range(n + 1):
-            assert nerve.face(n, i) == alg.face(n, i)
-    for n in range(4):
-        assert nerve.cyclic(n) == alg.cyclic(n)
-    for n in range(3):
-        for i in range(n + 1):
-            assert nerve.degeneracy(n, i) == alg.degeneracy(n, i)
+@pytest.mark.parametrize("group", [cyclic_group(2), cyclic_group(3), symmetric_group(3)],
+                         ids=["z2", "z3", "s3"])
+def test_single_object_nerve_data_matches_the_structure_constants(group):
+    # `endomorphism_algebra` is the structure-constant oracle of the nerve
+    # data on one object whose unit is already a basis vector
+    gen = generator(g_can_min(group), QQ)
+    data = _NerveData([gen])
+    alg = endomorphism_algebra(gen)
+    assert len(alg.unit) == 1
+    assert data.dim(0, 0) == alg.dimension
+    assert data.unit(0) == alg.unit
+    for i in range(alg.dimension):
+        for j in range(alg.dimension):
+            assert data.comp(0, 0, 0, i, j) == alg.struct[i][j]
 
 
 # ----------------------------------------------------- convention policing
 
 
 def test_extra_outer_sign_breaks_identities(sign_flipped_mixed):
-    m = algebra_cyclic_module(algebra_of(two_points(False)), 3)
+    m = generator_nerve(two_points(False), 3)
     with pytest.raises(ValueError, match="sign-convention"):
         sign_flipped_mixed(m)
 
 
 def test_identity_suite_runs_at_construction():
-    m = algebra_cyclic_module(algebra_of(two_points(False)), 3)
+    m = generator_nerve(two_points(False), 3)
     assert m.check_identities()
 
 
@@ -185,7 +197,7 @@ def _all_simplicial_pairs_hold(m):
     lambda: additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 4),
     lambda: additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(3)), GF(5)), 3),
     lambda: additive_cyclic_nerve(orbit_objects(g_can_min(symmetric_group(3)), QQ), 3),
-    lambda: algebra_cyclic_module(algebra_of(two_points(True)), 3),
+    lambda: generator_nerve(two_points(True), 3),
 ], ids=["z2", "z3-F5", "s3", "two-points"])
 def test_identity_check_agrees_with_every_simplicial_pair(make):
     m = make()
@@ -249,7 +261,7 @@ def test_nerve_domain_must_be_the_objects_domain():
 
 def test_degree_guard():
     with pytest.raises(ValueError, match="basis elements"):
-        algebra_cyclic_module(algebra_of(g_can_min(symmetric_group(3))), 4, cap=100)
+        generator_nerve(g_can_min(symmetric_group(3)), 4, cap=100)
 
 
 def test_nerve_cap_fails_before_any_operator_is_built():
@@ -281,7 +293,7 @@ def test_only_cyclic_reads_hom_spaces():
 
 def test_each_complex_has_one_builder():
     # the nerve's mixed complexes are built by `homology.space_mixed_complex`
-    # (full) and `homology.nerve_profiles` (normalized), and the coarse
+    # (full) and `homology.nerve_complex` (normalized), and the coarse
     # boundaries by `chains`; everyone else reads those
     owners = {"additive_cyclic_nerve": "homology.py", "to_mixed": "homology.py",
               "normalized_mixed_complex": "homology.py", "_boundary_on": "chains.py"}
@@ -295,13 +307,38 @@ def test_each_complex_has_one_builder():
     assert offenders == []
 
 
+def _callers(name):
+    """'module:Scope.function' of every call to `name` in the package."""
+    callers = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None)) == name):
+                callers.append(f"{module}:{'.'.join(scope)}")
+            visit(child, inner, module)
+
+    for path in sorted(Path(cyclic_module.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), [], path.stem)
+    return sorted(callers)
+
+
+def test_only_the_trace_and_the_identity_suite_build_the_full_nerve():
+    # every XHH check runs on the normalized nerve; the full one is for t
+    assert _callers("space_mixed_complex") == [
+        "axioms:check_identity_suite", "trace:TraceContext.__init__"]
+
+
 def test_degree_out_of_range():
-    mix = to_mixed(algebra_cyclic_module(algebra_of(point_space()), 2))
+    mix = to_mixed(generator_nerve(point_space(), 2))
     with pytest.raises(ValueError, match="out of range"):
         hh(mix, 2)
     with pytest.raises(ValueError, match="out of range"):
         hc(mix, 2)
-    m = algebra_cyclic_module(algebra_of(point_space()), 2)
+    m = generator_nerve(point_space(), 2)
     with pytest.raises(ValueError):
         m.face(0, 0)
     with pytest.raises(ValueError):
@@ -399,6 +436,30 @@ def test_nerve_walk_lists_the_keys_of_every_tuple_in_order():
     assert several > 0
 
 
+def test_no_reference_cycle_outlives_a_computation():
+    # bases, nerve data and complexes are freed by reference counting, not
+    # left for the cyclic collector
+    rng = random.Random(0)
+    f = random_equivalence(rng)
+    space, z, y = random_complementary_pair(rng)
+    probe = random_space(rng)
+    s3 = g_can_min(symmetric_group(3))
+    checks = [(check_coarse_invariance, (f, 3)), (check_excision, (space, z, y, 3)),
+              (check_morita, (probe, 3)), (check_identity_suite, (probe, 3)),
+              (check_u_continuity, (probe,)), (check_flasqueness, (probe,))]
+    gc.collect()
+    gc.disable()
+    try:
+        TraceContext(s3, QQ, max_degree=3)
+        ordinary_profile(s3, 3)
+        nerve_profiles(s3, 3, QQ)
+        for check, args in checks:
+            assert check(*args).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _zero_hom_probe():
     """A fuzz probe with three orbits, one of them cut off from the others
     (zero hom spaces) and two-dimensional hom spaces among the other two."""
@@ -450,11 +511,11 @@ def test_nerve_build_visits_only_tuples_with_keys():
     keyed = sum(len({o for o, _ in _every_tuple_keys(data, n, normalized)})
                 for normalized in (False, True) for n in range(4))
     assert len(visits) == keyed == 65
-    # over the whole fuzz corpus, 1,246 of the 14,370 object tuples carry keys
+    # over the whole fuzz corpus, 942 of the 14,370 object tuples carry keys
     with pytest.MonkeyPatch.context() as mp:
         visits = _record_visits(mp)
         assert all(report.ok for report in fuzz_suite(0, 20, 3))
-    assert len(visits) == 1246
+    assert len(visits) == 942
 
 
 @pytest.mark.parametrize("p, hh_ref, hc_ref", [

@@ -1,5 +1,6 @@
 import pytest
 
+import coarsehom.spaces as spaces_module
 from coarsehom.groups import FiniteGroup, cyclic_group, symmetric_group, trivial_group
 from coarsehom.spaces import (
     GBornCoarseSpace,
@@ -226,6 +227,26 @@ def test_flasqueness():
     assert not has_flasqueness_witness(x)
     assert not has_flasqueness_witness(point_space())
     assert has_flasqueness_witness(empty_space())
+
+
+def test_equivalence_search_stops_at_the_bound(monkeypatch):
+    # an inverse of the identity of a 3-point space is one of 3^3 maps
+    f = SpaceMap.identity(trivial_g_space(["a", "b", "c"], [("a", "b"), ("b", "c")]))
+    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 27)
+    assert is_coarse_equivalence(f)
+    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 26)
+    with pytest.raises(ValueError, match=r"equivariant map search exceeds bound \(27 > 26\)"):
+        is_coarse_equivalence(f)
+
+
+def test_witness_search_stops_at_the_bound(monkeypatch):
+    # a 3-point space has 3^3 self-maps
+    x = trivial_g_space(["a", "b", "c"], [("a", "b")])
+    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 27)
+    assert not has_flasqueness_witness(x)
+    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 26)
+    with pytest.raises(ValueError, match="self-map search exceeds bound"):
+        has_flasqueness_witness(x)
 
 
 def test_is_complementary_pair():

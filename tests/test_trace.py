@@ -15,6 +15,8 @@ from coarsehom.chains import (
 )
 from coarsehom.controlled import direct_sum, generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
+from coarsehom.cyclic import NormalizedNerveBasis
+from coarsehom.homology import nerve_complex
 from coarsehom.linalg import GF, Matrix, QQ, finished, kernel_basis, rank
 from coarsehom.spaces import GBornCoarseSpace, SpaceMap, empty_space, g_can_min, point_space
 from coarsehom.trace import (
@@ -411,6 +413,46 @@ def test_nerve_pushforward_checks_endpoints():
     cy = TraceContext(y, QQ, max_degree=1)
     with pytest.raises(ValueError, match="endpoints"):
         nerve_pushforward_matrix(cy.nerve, cx.nerve, f, 0)
+
+
+def test_nerve_pushforward_joins_nerves_of_one_kind_and_domain():
+    x, y, f = collapse_setup()
+    full = TraceContext(x, QQ, max_degree=1).mixed
+    normalized = nerve_complex(y, 1, QQ)
+    with pytest.raises(ValueError, match="one kind"):
+        nerve_pushforward_matrix(full, normalized, f, 0)
+    with pytest.raises(ValueError, match="one kind"):
+        nerve_pushforward_matrix(nerve_complex(x, 1, QQ), nerve_complex(y, 1, GF(5)), f, 0)
+    assert not nerve_pushforward_matrix(nerve_complex(x, 1, QQ), normalized, f, 0).is_zero()
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_normalized_nerve_pushforward_commutes_with_b_and_B(domain, monkeypatch):
+    # pushing forward sends identities to identities, so CN(f_*) descends
+    # to the normalized nerves, where excision uses it
+    dropped = []
+    real = NormalizedNerveBasis.degenerate
+    monkeypatch.setattr(NormalizedNerveBasis, "degenerate",
+                        lambda self, key: real(self, key) and not dropped.append(key))
+    rng = random.Random(0)
+    positive = pushed_to_degenerate = 0
+    for _ in range(30):
+        f = random_equivalence(rng)
+        mx = nerve_complex(f.source, 3, domain)
+        my = nerve_complex(f.target, 3, domain)
+        before = len(dropped)
+        push = [nerve_pushforward_matrix(mx, my, f, n) for n in range(4)]
+        pushed_to_degenerate += len(dropped) - before
+        assert not push[0].is_zero()
+        positive += sum(not p.is_zero() for p in push[1:])
+        for n in range(4):
+            if n >= 1:
+                assert push[n - 1] @ mx.b(n) == my.b(n) @ push[n]
+            if n < 3:
+                assert push[n + 1] @ mx.B(n) == my.B(n) @ push[n]
+    assert positive > 0
+    # some images are degenerate target keys, which the quotient drops
+    assert pushed_to_degenerate > 0
 
 
 # -- guards ---------------------------------------------------------------------
