@@ -46,7 +46,7 @@ from .linalg import ZZ, Complex, InvariantError, Matrix, finished
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
-DEFAULT_TUPLE_CAP = 200_000
+TUPLE_CAP = 200_000  # orbit representatives per degree, read when a basis is listed
 
 
 class ControlledChain:
@@ -117,7 +117,7 @@ class OrbitBasis(list):
     send x_0 there (one for a free action).
     """
 
-    def __init__(self, space, n, cap=DEFAULT_TUPLE_CAP):
+    def __init__(self, space, n):
         super().__init__()
         self.degree = n
         self._rows = tuple(dict.fromkeys(map(tuple, space.action)))
@@ -130,8 +130,8 @@ class OrbitBasis(list):
                 for tup in self._tuples(first, component, n):
                     if self.rep(tup) == tup:
                         self.append(tup)
-                        if len(self) > cap:
-                            raise ValueError(f"more than {cap} basis tuples in degree {n}")
+                        if len(self) > TUPLE_CAP:
+                            raise ValueError(f"more than {TUPLE_CAP} basis tuples in degree {n}")
         self.sort()
         self.index = {t: i for i, t in enumerate(self)}
 
@@ -150,7 +150,7 @@ class OrbitBasis(list):
         return min(tuple(map(g.__getitem__, tup)) for g in self._lead[tup[0]])
 
     def orbit(self, tup):
-        return {tuple(map(g.__getitem__, tup)) for g in self._rows}
+        return _orbit(self._rows, tup)
 
     def collect(self, plain, domain):
         """Rewrite an invariant plain chain in orbit-sum coordinates.
@@ -216,18 +216,23 @@ class MooreBasis(OrbitBasis):
         return all(map(ne, tup, tup[1:]))
 
 
-def controlled_tuple_basis(space, n, cap=DEFAULT_TUPLE_CAP, kind=OrbitBasis):
+def controlled_tuple_basis(space, n, kind=OrbitBasis):
     """Ordered degree-n basis of orbit representatives, of every controlled
     tuple (`OrbitBasis`) or of the nondegenerate ones (`MooreBasis`).
 
-    The cap bounds the number of representatives.
+    `TUPLE_CAP` bounds the number of representatives.
     """
-    return kind(space, n, cap)
+    return kind(space, n)
+
+
+def _orbit(rows, tup):
+    """The tuples g . tup for the action rows g."""
+    return {tuple(map(g.__getitem__, tup)) for g in rows}
 
 
 def basis_chain(space, tup, domain):
     """The chain a basis element stands for: the sum over its orbit."""
-    orbit = controlled_tuple_basis(space, len(tup) - 1).orbit(tuple(tup))
+    orbit = _orbit(space.action, tuple(tup))
     return ControlledChain(space, len(tup) - 1, dict.fromkeys(orbit, domain.one), domain,
                            check=False)
 
@@ -249,14 +254,14 @@ def _boundary_on(n, basis_n, basis_prev, domain):
     return basis_n.matrix(basis_prev, _boundary_of_tuple, domain)
 
 
-def boundary(space, n, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
+def boundary(space, n, domain=ZZ):
     """The normalized boundary from degree n to n - 1, as `CoarseChainComplex.d[n]`.
 
     It enumerates both bases again; read the complex's `d` instead.  The
     name stays because the benchmark's tracer wraps it.
     """
-    basis_n = controlled_tuple_basis(space, n, cap, MooreBasis)
-    basis_prev = controlled_tuple_basis(space, n - 1, cap, MooreBasis) if n else []
+    basis_n = controlled_tuple_basis(space, n, MooreBasis)
+    basis_prev = controlled_tuple_basis(space, n - 1, MooreBasis) if n else []
     return _boundary_on(n, basis_n, basis_prev, domain)
 
 
@@ -281,9 +286,9 @@ class CoarseChainComplex(Complex):
     basis_kind = MooreBasis
     name = "coarse chain complex"
 
-    def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ, cap=DEFAULT_TUPLE_CAP):
+    def __init__(self, space, max_degree=DEFAULT_MAX_DEGREE, domain=ZZ):
         self.space = space
-        self.bases = [controlled_tuple_basis(space, n, cap, self.basis_kind)
+        self.bases = [controlled_tuple_basis(space, n, self.basis_kind)
                       for n in range(max_degree + 1)]
         super().__init__(
             [

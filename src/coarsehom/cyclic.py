@@ -2,8 +2,8 @@
 
 The additive cyclic nerve of a list of controlled objects is built from
 its nerve data, `_NerveData`: basis dimensions per hom space, composition
-coordinates, and unit coordinates.  One object gives the cyclic module of
-its endomorphism algebra.  Degree n of the nerve is the direct sum, over
+coordinates, and the basis index of each identity.  One object gives the
+cyclic module of its endomorphism algebra.  Degree n of the nerve is the direct sum, over
 (n+1)-tuples of objects, of Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on}).
 
 The degree-n basis is one value, `NerveBasis`: the keys (object tuple,
@@ -13,9 +13,10 @@ hom factor has no keys, so the enumeration visits only the closed walks in
 the support graph of Hom, not all r^(n+1) tuples of r objects, and costs
 per nonempty tuple.  The basis holds the one rule for the hom space of
 each factor (`ends`), and every nerve operator (the faces, t, the
-degeneracies, the front insertion, and the trace's nerve pushforward) is
-one `matrix` call with an image function on keys.  Other modules read
-keys, factors and coordinates through it and the category data.
+degeneracies, s N, and the trace's nerve pushforward) is one `matrix` call
+with an image function on keys.  The identity of each object is one basis
+index, `unit_index`, so inserting an identity is a key map.  Other modules
+read keys, factors and coordinates through the basis and the nerve data.
 
 XHH and XHC are computed on the normalized nerve,
 `normalized_mixed_complex`.  A key is degenerate when a factor j >= 1 is
@@ -23,7 +24,7 @@ the identity of its object; the nerve data makes every identity a basis
 vector and checks the unit law, so the degenerate keys span the images of
 the degeneracies, a subcomplex with the same HH and HC as the whole
 (Eilenberg-Mac Lane).  `NormalizedNerveBasis` lists only the other keys,
-and its operators are b, from the face images, and B = sN: on the
+and its operators are b, from the face images, and B = s N: on the
 quotient t s N is zero, so the (1 - t) drops out (Loday 2.1.9).  Either
 mixed complex carries its bases, so the nerve pushforward runs on both
 kinds.  The full nerve (`additive_cyclic_nerve`, `to_mixed`) is built
@@ -33,9 +34,11 @@ Sign conventions (pinned by the identity suite below, on the full nerve):
     d_i  composes adjacent factors, d_n wraps unsigned,
     t    = (-1)^n  x  cyclic rotation,
     b    = sum of (-1)^i d_i,
-    B    = (1 - t) . (insert identity at the front) . N,   N = sum of t^i,
-           one `connes_operator` for the nerve and for the trace's chains.
-On the normalized nerve b is the same sum and B = sN.  The b-complex and
+    s N  = sum of the identity put in front of t^i = (-1)^(ni) x rotation^i,
+    B    = (1 - t) . s N,
+           one key map `_s_norm` for both nerves (the trace's chains code
+           the same formula on tuples, independently).
+On the normalized nerve b is the same sum and B = s N.  The b-complex and
 the total complex are `linalg.Complex` values, so b^2 = 0 and d^2 = 0 are
 checked once each, where they are built; `MixedComplex` adds B^2 = 0 and
 bB + Bb = 0, on either nerve.  A failed identity raises `InvariantError`
@@ -53,12 +56,12 @@ from .controlled import HomSpace, compose, identity_morphism
 from .linalg import QQ, Complex, InvariantError, Matrix, finished, total_boundaries
 
 DEFAULT_MAX_DEGREE = 4
-DEFAULT_BASIS_CAP = 200_000
+BASIS_CAP = 200_000  # keys per degree, read when a basis is listed
 
 
 class _NerveData:
-    """Hom-space dimensions, composition and unit coordinates for a nerve
-    (see `additive_cyclic_nerve` for the empty list and `domain`).
+    """Hom-space dimensions, composition coordinates and unit indices for a
+    nerve (see `additive_cyclic_nerve` for the empty list and `domain`).
 
     The identity of every object is a basis vector of its End space: where
     the solved basis spreads it as u = sum u_i e_i, the least e_k with
@@ -87,7 +90,6 @@ class _NerveData:
         r = len(objects)
         self.hom = [[HomSpace(objects[s], objects[t]) for t in range(r)] for s in range(r)]
         self._comp = {}
-        self._unit = {}
         self._pivot = {}  # object -> (k, u): e_k of End(P_a) is the identity u
         for a, ob in enumerate(self.objects):
             u = self.hom[a][a].coordinates(identity_morphism(ob))
@@ -134,16 +136,10 @@ class _NerveData:
             self._comp[key] = out
         return out
 
-    def unit(self, a):
-        out = self._unit.get(a)
-        if out is None:
-            out = self.coordinates(a, a, identity_morphism(self.objects[a]))
-            self._unit[a] = out
-        return out
-
     def _unit_index(self, a):
-        """k with unit(a) = e_k; None for a zero object, whose End is 0."""
-        u = self.unit(a)
+        """k with e_k the identity of object a; None for a zero object,
+        whose End is 0."""
+        u = self.coordinates(a, a, identity_morphism(self.objects[a]))
         if not u and not self.dim(a, a):
             return None
         k = min(u, default=None)
@@ -182,7 +178,7 @@ class NerveBasis(list):
     is counted against the cap during the walk, before any key is listed.
     """
 
-    def __init__(self, data, n, cap=DEFAULT_BASIS_CAP):
+    def __init__(self, data, n):
         super().__init__()
         self.data = data
         self.degree = n
@@ -191,9 +187,9 @@ class NerveBasis(list):
         for o in self._walks():
             ranges = self._ranges(o)
             total += prod(map(len, ranges))
-            if total > cap:
+            if total > BASIS_CAP:
                 raise ValueError(
-                    f"cyclic nerve degree {n} needs more than {cap} basis elements"
+                    f"cyclic nerve degree {n} needs more than {BASIS_CAP} basis elements"
                 )
             tuples.append((o, ranges))
         for o, ranges in tuples:
@@ -320,17 +316,18 @@ def _rotation(basis):
 
 
 def _insert_unit(basis, target, i):
-    """Insert an identity after factor i: s_i for 0 <= i <= n, and for
-    i = -1 the identity of the first object in front (the extra degeneracy)."""
-    data = basis.data
+    """Insert the identity basis vector after factor i, coefficient one: s_i
+    for 0 <= i <= n, and for i = -1 the identity of the first object in
+    front (the extra degeneracy s)."""
+    unit = basis.data.unit_index
+    one = basis.data.domain.one
 
     def image(key):
         o, m = key
         a = basis.ends(o, i)[0]
-        o2 = o[: i + 1] + (a,) + o[i + 1 :]
-        return [((o2, m[: i + 1] + (k,) + m[i + 1 :]), c) for k, c in data.unit(a).items()]
+        return ((o[: i + 1] + (a,) + o[i + 1 :], m[: i + 1] + (unit[a],) + m[i + 1 :]), one),
 
-    return basis.matrix(target, image, data.domain)
+    return basis.matrix(target, image, basis.data.domain)
 
 
 def _normalized_b(basis, target):
@@ -345,36 +342,21 @@ def _normalized_b(basis, target):
     return basis.matrix(target, image, basis.data.domain)
 
 
-def _normalized_connes(basis, target):
-    """B = s N on the normalized nerve: the identity in front of each signed
-    rotation t^i = (-1)^(ni) x rotation^i.  The (1 - t) of the full B is 0
-    here, since t s N puts an identity in factor 1.  A key whose factor 0 is
-    an identity goes to 0: the identity in front moves that factor to a
-    place j >= 1 in every term, so `matrix` would drop each one."""
+def _s_norm(basis, target):
+    """s N, the extra degeneracy after the cyclic norm N = 1 + t + ... + t^n:
+    the identity in front of each signed rotation t^i = (-1)^(ni) x rotation^i.
+    B is (1 - t) s N on the full nerve and s N on the normalized one."""
     n = basis.degree
     unit = basis.data.unit_index
 
     def image(key):
         o, m = key
-        if m[0] == unit[o[0]] and basis.ends(o, 0)[0] == o[0]:
-            return
         for i in range(n + 1):
             cut = n + 1 - i
             o2 = o[cut:] + o[:cut]
             yield ((o2[0],) + o2, (unit[o2[0]],) + m[cut:] + m[:cut]), -1 if n * i % 2 else 1
 
     return basis.matrix(target, image, basis.data.domain)
-
-
-def connes_operator(n, t_n, front, t_up):
-    """B = (1 - t) . s . N in degree n, N = 1 + t + ... + t^n, from t in
-    degrees n and n + 1 and the extra degeneracy s."""
-    dom = t_n.domain
-    norm = power = Matrix.identity(t_n.ncols, dom)
-    for _ in range(n):
-        power = power @ t_n
-        norm = norm + power
-    return (Matrix.identity(t_up.ncols, dom) - t_up) @ front @ norm
 
 
 class CyclicModule:
@@ -446,7 +428,7 @@ class CyclicModule:
         return True
 
 
-def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP, domain=None):
+def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None):
     """The cyclic module of the additive category spanned by the objects,
     with its simplicial and cyclic identities checked.
 
@@ -454,7 +436,7 @@ def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BA
     otherwise a given `domain` must be the objects' own.
     """
     data = _NerveData(objects, domain)
-    basis = [NerveBasis(data, n, cap) for n in range(max_degree + 1)]
+    basis = [NerveBasis(data, n) for n in range(max_degree + 1)]
     faces = [[]] + [[_face(basis[n], basis[n - 1], i) for i in range(n + 1)]
                     for n in range(1, max_degree + 1)]
     module = CyclicModule(basis, faces, [_rotation(b) for b in basis])
@@ -508,8 +490,8 @@ class MixedComplex:
 def to_mixed(module):
     """Mixed complex (C, b, B) of a cyclic module.
 
-    b is the alternating face sum; B composes the cyclic norm, the front
-    identity insertion, and (1 - t).
+    b is the alternating face sum and B = (1 - t) s N, with s N from
+    `_s_norm`.
     """
     N = module.max_degree
     b = [Matrix(0, module.dims[0], module.domain)]
@@ -518,15 +500,12 @@ def to_mixed(module):
         for i in range(1, n + 1):
             acc = acc - module.face(n, i) if i % 2 else acc + module.face(n, i)
         b.append(acc)
-    big = []
-    for n in range(N):
-        front = _insert_unit(module.basis[n], module.basis[n + 1], -1)
-        big.append(connes_operator(n, module.cyclic(n), front, module.cyclic(n + 1)))
+    big = [(Matrix.identity(module.dims[n + 1], module.domain) - module.cyclic(n + 1))
+           @ _s_norm(module.basis[n], module.basis[n + 1]) for n in range(N)]
     return MixedComplex(b, big, module.basis, source=module)
 
 
-def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT_BASIS_CAP,
-                             domain=None):
+def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None):
     """Mixed complex (C, b, B = sN) of the normalized cyclic nerve of the objects.
 
     It is the quotient of `to_mixed` of the full nerve by the keys with an
@@ -536,10 +515,10 @@ def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, cap=DEFAULT
     `additive_cyclic_nerve`.
     """
     data = _NerveData(objects, domain)
-    basis = [NormalizedNerveBasis(data, n, cap) for n in range(max_degree + 1)]
+    basis = [NormalizedNerveBasis(data, n) for n in range(max_degree + 1)]
     b = [Matrix(0, len(basis[0]), data.domain)]
     b += [_normalized_b(basis[n], basis[n - 1]) for n in range(1, max_degree + 1)]
-    big = [_normalized_connes(basis[n], basis[n + 1]) for n in range(max_degree)]
+    big = [_s_norm(basis[n], basis[n + 1]) for n in range(max_degree)]
     return MixedComplex(b, big, basis)
 
 

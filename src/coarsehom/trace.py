@@ -16,18 +16,19 @@ A `TraceContext` is the two complexes phi joins, each from its one
 builder: the nerve's mixed complex from `homology.space_mixed_complex`
 and the full tuple complex `chains.TupleChainComplex`, whose bases and
 boundaries it reads.  It is the unnormalized complex, not XH's Moore
-quotient: t and the front insertion below do not descend to the
-quotient.  Nerve keys and their factors are read through
-`cyclic.NerveBasis`.  The nerve pushforward CN(f_*), a map of cyclic
-modules, is one `NerveBasis.matrix` call between two nerves of one kind:
-two full nerves, or two normalized ones, which is how excision uses it.
+quotient: t and s N below do not descend to the quotient.  Nerve keys and
+their factors are read through `cyclic.NerveBasis`.  The nerve pushforward
+CN(f_*), a map of cyclic modules, is one `NerveBasis.matrix` call between
+two nerves of one kind: two full nerves, or two normalized ones, which is
+how excision uses it.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
 identity insertion with duplicating the last coordinate up front.  The
-chain-level operators live here as xc_cyclic_operator / xc_connes_operator
-(the latter through the nerve's own `cyclic.connes_operator`) so that
-phi . B_nerve = B_chain . phi can be checked as a matrix identity.
+chain-level operators live here as xc_cyclic_operator / xc_connes_operator,
+B = (1 - t) s N with s N a map on tuples coded apart from the nerve's, so
+that phi . B_nerve = B_chain . phi, checked as a matrix identity, compares
+two independent constructions.
 Note what that implies: phi . B_nerve is NOT zero in even degrees (already
 on the point, phi(B(1)) = 2 (pt,pt)), so a mixed-complex map onto chains
 with zero B does not exist; the honest statement is the intertwining one.
@@ -40,7 +41,7 @@ from math import prod
 
 from .chains import ControlledChain, TupleChainComplex, controlled_tuple_basis
 from .controlled import orbit_objects, pushforward_morphism
-from .cyclic import DEFAULT_MAX_DEGREE, connes_operator
+from .cyclic import DEFAULT_MAX_DEGREE
 from .homology import space_mixed_complex
 from .linalg import QQ, InvariantError, Matrix, finished
 
@@ -192,16 +193,10 @@ def dennis_trace_k0(ctx, m):
     if ctx.objects != orbit_objects(ctx.space, ctx.domain):
         raise ValueError("dennis_trace_k0 needs the orbit-regular object list")
     dom = ctx.domain
-    vec = {}
     index = ctx.nerve.basis[0].index
-    for i, orb in enumerate(ctx.space.orbits()):
-        mult = m.dims[orb[0]]
-        if not mult:
-            continue
-        for k, coeff in ctx.nerve.data.unit(i).items():
-            idx = index[((i,), (k,))]
-            vec[idx] = vec.get(idx, 0) + mult * coeff
-    vec = finished(vec, dom)
+    unit = ctx.nerve.data.unit_index
+    vec = finished({index[((i,), (unit[i],))]: m.dims[orb[0]]
+                    for i, orb in enumerate(ctx.space.orbits()) if m.dims[orb[0]]}, dom)
     image = ctx.phi(0, vec)
     expected = {
         (x,): dom.coerce(m.dims[x]) for x in range(ctx.space.n) if m.dims[x]
@@ -225,18 +220,24 @@ def xc_cyclic_operator(space, n, domain):
     return _xc_rotation(controlled_tuple_basis(space, n), domain)
 
 
-def _xc_front_insert(basis, basis_up, domain):
-    """(x_0..x_n) -> (x_n, x_0, ..., x_n): what phi makes of the extra degeneracy."""
-    return basis.matrix(basis_up, lambda tup: {(tup[-1],) + tup: domain.one}, domain)
+def _xc_s_norm(tup):
+    """s N on one tuple: (r_n, r_0, ..., r_n) for each signed rotation
+    r = rotation^i(tup), sign (-1)^(ni); what phi makes of the nerve's s N."""
+    n = len(tup) - 1
+    out = {}
+    for i in range(n + 1):
+        r = tup[n + 1 - i :] + tup[: n + 1 - i]
+        key = (r[-1],) + r
+        out[key] = out.get(key, 0) + (-1 if n * i % 2 else 1)
+    return out
 
 
 def xc_connes_operator(space, n, domain):
-    """The chain-level (1 - t) s N operator matching the nerve's B under phi."""
+    """The chain-level B = (1 - t) s N matching the nerve's B under phi."""
     basis = controlled_tuple_basis(space, n)
     basis_up = controlled_tuple_basis(space, n + 1)
-    return connes_operator(n, _xc_rotation(basis, domain),
-                           _xc_front_insert(basis, basis_up, domain),
-                           _xc_rotation(basis_up, domain))
+    return ((Matrix.identity(len(basis_up), domain) - _xc_rotation(basis_up, domain))
+            @ basis.matrix(basis_up, _xc_s_norm, domain))
 
 
 # -- naturality --------------------------------------------------------------

@@ -272,6 +272,17 @@ def test_basis_chain_matches_boundary_matrix():
                 assert via_chain == from_matrix
 
 
+def test_basis_chain_lists_one_orbit_and_no_basis():
+    # degree 9 of z4 has far more than TUPLE_CAP orbit representatives;
+    # the chain of one of them is its 4-member orbit
+    z4 = g_can_min(cyclic_group(4))
+    tup = (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)
+    chain = basis_chain(z4, tup, ZZ)
+    assert chain.degree == 9
+    assert chain.coefficients == {tuple(z4.act(g, x) for x in tup): 1 for g in range(4)}
+    assert len(chain.coefficients) == 4
+
+
 def test_pushforward_identity_and_collapse():
     x = single_component(2)
     ident = SpaceMap.identity(x)
@@ -430,13 +441,15 @@ def test_moore_and_full_complexes_have_equal_homology(domain):
         assert profile(moore) == profile(full)
 
 
-def test_cap_bounds_the_representatives():
+def test_cap_bounds_the_representatives(monkeypatch):
     # degree 3 of s3 has 6^4 = 1296 plain tuples, 216 orbit representatives
     # and 5^3 = 125 nondegenerate ones
     s3 = g_can_min(symmetric_group(3))
     assert len(controlled_tuple_basis(underlying(s3), 3)) == 1296
-    assert len(TupleChainComplex(s3, max_degree=3, domain=ZZ, cap=216).bases[3]) == 216
-    cx = CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=125)
+    monkeypatch.setattr(chains_module, "TUPLE_CAP", 216)
+    assert len(TupleChainComplex(s3, max_degree=3, domain=ZZ).bases[3]) == 216
+    monkeypatch.setattr(chains_module, "TUPLE_CAP", 125)
+    cx = CoarseChainComplex(s3, max_degree=3, domain=ZZ)
     assert len(cx.bases[3]) == 125
     assert [(h.betti, h.torsion) for h in (cx.homology(n) for n in range(3))] == [
         (1, ()), (0, (2,)), (0, ()),
@@ -445,8 +458,10 @@ def test_cap_bounds_the_representatives():
     real = Matrix.from_columns
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Matrix, "from_columns", lambda *a, **k: built.append(1) or real(*a, **k))
+        mp.setattr(chains_module, "TUPLE_CAP", 124)
         with pytest.raises(ValueError, match="more than 124"):
-            CoarseChainComplex(s3, max_degree=3, domain=ZZ, cap=124)
+            CoarseChainComplex(s3, max_degree=3, domain=ZZ)
+        mp.setattr(chains_module, "TUPLE_CAP", 215)
         with pytest.raises(ValueError, match="more than 215"):
-            TupleChainComplex(s3, max_degree=3, domain=ZZ, cap=215)
+            TupleChainComplex(s3, max_degree=3, domain=ZZ)
     assert built == []

@@ -23,9 +23,9 @@ from coarsehom.axioms import (
     random_space,
 )
 from coarsehom.bar_oracle import bar_complex
+from coarsehom.chains import controlled_tuple_basis
 from coarsehom.controlled import endomorphism_algebra, generator, identity_morphism, orbit_objects
 from coarsehom.cyclic import (
-    DEFAULT_BASIS_CAP,
     NerveBasis,
     NormalizedNerveBasis,
     _NerveData,
@@ -40,16 +40,16 @@ from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
 from coarsehom.homology import nerve_profiles, ordinary_profile, space_mixed_complex
 from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
-from coarsehom.trace import TraceContext
+from coarsehom.trace import TraceContext, xc_connes_operator, xc_cyclic_operator
 
 
 def algebra_of(space, domain=QQ):
     return endomorphism_algebra(generator(space, domain))
 
 
-def generator_nerve(space, max_degree, domain=QQ, cap=DEFAULT_BASIS_CAP):
+def generator_nerve(space, max_degree, domain=QQ):
     """The one-object nerve: the cyclic module of End(generator)."""
-    return additive_cyclic_nerve([generator(space, domain)], max_degree, cap)
+    return additive_cyclic_nerve([generator(space, domain)], max_degree)
 
 
 def two_points(connected):
@@ -165,7 +165,7 @@ def test_single_object_nerve_data_matches_the_structure_constants(group):
     alg = endomorphism_algebra(gen)
     assert len(alg.unit) == 1
     assert data.dim(0, 0) == alg.dimension
-    assert data.unit(0) == alg.unit
+    assert {data.unit_index[0]: 1} == alg.unit
     for i in range(alg.dimension):
         for j in range(alg.dimension):
             assert data.comp(0, 0, 0, i, j) == alg.struct[i][j]
@@ -259,22 +259,25 @@ def test_nerve_domain_must_be_the_objects_domain():
     assert additive_cyclic_nerve([], 2, domain=GF(5)).domain is GF(5)
 
 
-def test_degree_guard():
+def test_degree_guard(monkeypatch):
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 100)
     with pytest.raises(ValueError, match="basis elements"):
-        generator_nerve(g_can_min(symmetric_group(3)), 4, cap=100)
+        generator_nerve(g_can_min(symmetric_group(3)), 4)
 
 
-def test_nerve_cap_fails_before_any_operator_is_built():
+def test_nerve_cap_fails_before_any_operator_is_built(monkeypatch):
     # degree 3 of the s3 nerve has 6^4 = 1296 keys
     objects = orbit_objects(g_can_min(symmetric_group(3)), QQ)
-    assert additive_cyclic_nerve(objects, 3, cap=1296).dims == [6, 36, 216, 1296]
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 1296)
+    assert additive_cyclic_nerve(objects, 3).dims == [6, 36, 216, 1296]
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 1295)
     built = []
     real = cyclic_module.NerveBasis.matrix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyclic_module.NerveBasis, "matrix",
                    lambda *a, **k: built.append(1) or real(*a, **k))
         with pytest.raises(ValueError, match="degree 3 needs more than 1295 basis elements"):
-            additive_cyclic_nerve(objects, 3, cap=1295)
+            additive_cyclic_nerve(objects, 3)
     assert built == []
 
 
@@ -358,17 +361,19 @@ def _profiles(mixed, top):
     return [hh(mixed, n).betti for n in range(top)], [hc(mixed, n).betti for n in range(top)]
 
 
-def test_normalized_nerve_cap_fails_before_any_operator_is_built():
+def test_normalized_nerve_cap_fails_before_any_operator_is_built(monkeypatch):
     # degree 3 of the normalized s3 nerve has 6 * 5^3 = 750 keys, of 1296
     objects = orbit_objects(g_can_min(symmetric_group(3)), QQ)
-    assert normalized_mixed_complex(objects, 3, cap=750).dims == [6, 30, 150, 750]
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 750)
+    assert normalized_mixed_complex(objects, 3).dims == [6, 30, 150, 750]
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 749)
     built = []
     real = cyclic_module.NerveBasis.matrix
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyclic_module.NerveBasis, "matrix",
                    lambda *a, **k: built.append(1) or real(*a, **k))
         with pytest.raises(ValueError, match="degree 3 needs more than 749 basis elements"):
-            normalized_mixed_complex(objects, 3, cap=749)
+            normalized_mixed_complex(objects, 3)
     assert built == []
 
 
@@ -436,6 +441,65 @@ def test_nerve_walk_lists_the_keys_of_every_tuple_in_order():
     assert several > 0
 
 
+def _power_series_connes(n, t_n, front, t_up):
+    """(1 - t) s N with N = 1 + t + ... + t^n summed as matrix powers of t:
+    the textbook B in degree n, from t and the extra degeneracy s alone."""
+    dom = t_n.domain
+    norm = power = Matrix.identity(t_n.ncols, dom)
+    for _ in range(n):
+        power = power @ t_n
+        norm = norm + power
+    return (Matrix.identity(t_up.ncols, dom) - t_up) @ front @ norm
+
+
+def _on_the_quotient(m, full_src, full_tgt, norm_src, norm_tgt):
+    """A full-nerve operator on the normalized columns, degenerate rows dropped."""
+    rows = {}
+    for i, key in enumerate(full_tgt):
+        if key in norm_tgt.index:
+            rows[i] = norm_tgt.index[key]
+        else:
+            assert norm_tgt.degenerate(key)
+    cols = [{rows[i]: v for i, v in m.column(full_src.index[key]).items() if i in rows}
+            for key in norm_src]
+    return Matrix.from_columns(cols, len(norm_tgt), m.domain)
+
+
+def _connes_corpus():
+    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
+        yield g_can_min(group)
+    yield from _fuzz_probes()
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_nerve_connes_operators_match_the_power_series(domain):
+    # full B = (1 - t) s N from the key map; normalized B = s N is its quotient
+    for space in _connes_corpus():
+        for objects in (orbit_objects(space, domain), [generator(space, domain)]):
+            nerve = additive_cyclic_nerve(objects, 3)
+            full = to_mixed(nerve)
+            norm = normalized_mixed_complex(objects, 3)
+            for n in range(3):
+                src, tgt = nerve.basis[n], nerve.basis[n + 1]
+                front = cyclic_module._insert_unit(src, tgt, -1)
+                oracle = _power_series_connes(n, nerve.cyclic(n), front, nerve.cyclic(n + 1))
+                assert full.B(n) == oracle
+                assert norm.B(n) == _on_the_quotient(full.B(n), src, tgt, norm.basis[n],
+                                                     norm.basis[n + 1])
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_chain_connes_operator_matches_the_power_series(domain):
+    for space in _connes_corpus():
+        for n in range(3):
+            basis = controlled_tuple_basis(space, n)
+            up = controlled_tuple_basis(space, n + 1)
+            front = basis.matrix(up, lambda tup: {(tup[-1],) + tup: 1}, domain)
+            oracle = _power_series_connes(n, xc_cyclic_operator(space, n, domain), front,
+                                          xc_cyclic_operator(space, n + 1, domain))
+            assert xc_connes_operator(space, n, domain) == oracle
+
+
 def test_no_reference_cycle_outlives_a_computation():
     # bases, nerve data and complexes are freed by reference counting, not
     # left for the cyclic collector
@@ -484,19 +548,21 @@ def _record_visits(mp):
     return visits
 
 
-def test_nerve_cap_counts_keys_of_the_nonempty_tuples():
+def test_nerve_cap_counts_keys_of_the_nonempty_tuples(monkeypatch):
     objects, data = _zero_hom_probe()
-    assert additive_cyclic_nerve(objects, 3, cap=257).dims == [5, 17, 65, 257]
-    with pytest.raises(ValueError, match="degree 3 needs more than 256 basis elements"):
-        additive_cyclic_nerve(objects, 3, cap=256)
-    assert normalized_mixed_complex(objects, 3, cap=108).dims == [5, 12, 36, 108]
-    with pytest.raises(ValueError, match="degree 3 needs more than 107 basis elements"):
-        normalized_mixed_complex(objects, 3, cap=107)
+    for cap, build, dims in ((257, additive_cyclic_nerve, [5, 17, 65, 257]),
+                             (108, normalized_mixed_complex, [5, 12, 36, 108])):
+        monkeypatch.setattr(cyclic_module, "BASIS_CAP", cap)
+        assert build(objects, 3).dims == dims
+        monkeypatch.setattr(cyclic_module, "BASIS_CAP", cap - 1)
+        with pytest.raises(ValueError, match=f"degree 3 needs more than {cap - 1} basis elements"):
+            build(objects, 3)
     # the walk is lazy: 16 keys on (0, 0, 0, 0), then 16 more exceed the cap
+    monkeypatch.setattr(cyclic_module, "BASIS_CAP", 16)
     with pytest.MonkeyPatch.context() as mp:
         visits = _record_visits(mp)
         with pytest.raises(ValueError, match="degree 3 needs more than 16 basis elements"):
-            NerveBasis(data, 3, cap=16)
+            NerveBasis(data, 3)
     assert [o for _, _, o in visits] == [(0, 0, 0, 0), (0, 0, 0, 2)]
 
 
@@ -543,7 +609,7 @@ def test_a_spread_unit_becomes_a_basis_vector():
     gen = generator(two_points(False), QQ)
     assert endomorphism_algebra(gen).unit == {0: 1, 1: 1}
     data = additive_cyclic_nerve([gen], 1).data
-    assert data.unit(0) == {0: 1}
+    assert data.coordinates(0, 0, identity_morphism(gen)) == {0: 1}
     assert data.unit_index == [0]
     assert data.morphism(0, 0, 0).blocks == identity_morphism(gen).blocks
     assert data.coordinates(0, 0, data.morphism(0, 0, 1)) == {1: 1}
