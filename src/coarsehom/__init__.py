@@ -51,8 +51,6 @@ from .cyclic import (
     MixedComplex,
     TotComplex,
     additive_cyclic_nerve,
-    hc,
-    hh,
     to_mixed,
 )
 from .groups import (

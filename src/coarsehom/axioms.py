@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .bar_oracle import bar_complex
 from .chains import CoarseChainComplex, pushforward_matrix
-from .controlled import HomSpace, generator, orbit_objects
+from .controlled import generator
 from .groups import cyclic_group, symmetric_group, trivial_group
 from .homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
 from .linalg import QQ, ZZ, Complex, InvariantError, Matrix, total_boundaries
@@ -271,20 +271,35 @@ def _free_space(group, n_orbits, gen_pairs, prefix="p"):
     return GBornCoarseSpace([f"{prefix}{i}" for i in range(n)], gen_pairs, group, action)
 
 
+def _orbit_hom_dims(space):
+    """h[s][t] = dim Hom(P_s, P_t) of the orbit objects, counted: with the
+    trivial cocycle it is the number of G-orbits of related pairs in s x t,
+    and each meets {r} x t (r the representative of s) in a Stab(r)-orbit.
+    """
+    orbits = space.orbits()
+    orbit_of = {x: t for t, orb in enumerate(orbits) for x in orb}
+    h = [[0] * len(orbits) for _ in orbits]
+    for s, (rep, *_) in enumerate(orbits):
+        stab = space.stabilizer(rep)
+        for y0 in {min(space.act(g, y) for g in stab) for y in range(space.n) if space.related(rep, y)}:
+            h[s][orbit_of[y0]] += 1
+    return h
+
+
 def nerve_fits_budget(space):
-    """Degree-four nerves over Q must stay workable for both object conventions."""
-    objs = orbit_objects(space, QQ)
-    r = len(objs)
-    h = [[HomSpace(objs[s], objs[t]).dim for t in range(r)] for s in range(r)]
+    """Degree-four nerves over Q must stay workable for both object conventions:
+    the nerve dimension is the trace of the fifth power of the hom dimensions."""
+    h = _orbit_hom_dims(space)
+    if sum(map(sum, h)) ** 5 > BUDGET_END_CAP:
+        return False
+    r = len(h)
     power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for _ in range(5):
         power = [
             [sum(power[i][k] * h[k][j] for k in range(r)) for j in range(r)]
             for i in range(r)
         ]
-    nerve_dim = sum(power[i][i] for i in range(r))
-    end_dim = sum(sum(row) for row in h)
-    return end_dim ** 5 <= BUDGET_END_CAP and nerve_dim <= BUDGET_NERVE_CAP
+    return sum(power[i][i] for i in range(r)) <= BUDGET_NERVE_CAP
 
 
 def random_space(rng):

@@ -101,6 +101,7 @@ class ControlledChain:
             isinstance(other, ControlledChain)
             and self.space is other.space
             and self.degree == other.degree
+            and self.domain is other.domain
             and self.coefficients == other.coefficients
         )
 

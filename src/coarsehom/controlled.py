@@ -531,10 +531,12 @@ def require_nerve_admissible(space, domain):
     """Guard for every nerve-level theory (Hochschild, cyclic, trace).
 
     Two conditions: the field characteristic must not divide the group order
-    (so that averaging arguments apply), and the action must be free (on a
-    non-free orbit the orbit-regular object need not generate: a nontrivial
-    stabilizer character has no nonzero morphisms to the trivial one in any
-    characteristic, so some objects would be invisible to the computation).
+    (no step averages, since `HomSpace` solves by elimination, but the
+    modular answers are not yet pinned against an independent oracle), and
+    the action must be free (on a non-free orbit the orbit-regular object
+    need not generate: a nontrivial stabilizer character has no nonzero
+    morphisms to the trivial one in any characteristic, so some objects
+    would be invisible to the computation).
     """
     G = space.group
     if domain.is_field and domain.char and len(G) % domain.char == 0:

@@ -43,7 +43,7 @@ the total complex are `linalg.Complex` values, so b^2 = 0 and d^2 = 0 are
 checked once each, where they are built; `MixedComplex` adds B^2 = 0 and
 bB + Bb = 0, on either nerve.  A failed identity raises `InvariantError`
 with a convention diagnostic.  HH is the homology of the b-complex and HC
-that of the total complex, built on the first `hc` call.
+that of its `TotComplex`.
 """
 
 from __future__ import annotations
@@ -459,7 +459,6 @@ class MixedComplex:
         self.data = basis[0].data
         self._B = big_b
         self.source = source
-        self._tot = None
         self._verify()
 
     def b(self, n):
@@ -539,19 +538,3 @@ class TotComplex(Complex):
                              mixed.domain)
         super().__init__(d, "total complex")
 
-
-def tot_B(mixed):
-    """The total complex, built on first use."""
-    if mixed._tot is None:
-        mixed._tot = TotComplex(mixed)
-    return mixed._tot
-
-
-def hh(mixed, n):
-    """Hochschild homology of the mixed complex at degree n <= N - 1."""
-    return mixed.b_complex.homology(n)
-
-
-def hc(mixed, n):
-    """Cyclic homology: homology of the total complex at degree n <= N - 1."""
-    return tot_B(mixed).homology(n)

@@ -9,8 +9,9 @@ bornology on a finite carrier closes up to the full power set; generators
 are kept only for display and for the product construction.
 
 All predicates from the structural layer live here: morphism validation,
-closeness, coarse equivalence (by exhaustive search for a controlled
-equivariant inverse), flasqueness, and complementary pairs.
+closeness, coarse equivalence, flasqueness, and complementary pairs.  Each
+is answered from the component partition, the orbits and the stabilizers;
+only the flasqueness oracle `has_flasqueness_witness` searches.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import product
 from .groups import trivial_group
 from .linalg import InvariantError
 
-SEARCH_BOUND = 200_000  # candidate maps an exhaustive search may try
+SEARCH_BOUND = 200_000  # self-maps the flasqueness witness search may try
 
 
 class GBornCoarseSpace:
@@ -72,17 +73,13 @@ class GBornCoarseSpace:
         if covered != set(range(self.n)):
             raise ValueError("bornology generators must cover the carrier")
 
-        # u_star is G-invariant: group elements permute the components
-        for g in range(len(group)):
-            for x in range(self.n):
-                for y in range(self.n):
-                    if (self._comp_of[x] == self._comp_of[y]) != (
-                        self._comp_of[self.action[g][x]] == self._comp_of[self.action[g][y]]
-                    ):
-                        raise InvariantError("G-invariance of the coarse closure")
-
         self._orbits = self._compute_orbits()
         self._components = self._compute_components()
+
+        # u_star is G-invariant: each g sends every component into one
+        # component; with g^-1 checked too, each g permutes the components
+        if any(_split_component(self, self, row) for row in self.action):
+            raise InvariantError("G-invariance of the coarse closure")
 
     def _as_index(self, p):
         if isinstance(p, int) and not isinstance(p, bool):
@@ -176,6 +173,19 @@ def closure_pairs(generators, n, action):
     return frozenset((x, y) for x in range(n) for y in range(n) if comp_of[x] == comp_of[y])
 
 
+def _split_component(source, target, assignment):
+    """The first source component whose image meets two target components,
+    as (its least point x, its first point y mapped apart from x); None if
+    the assignment sends every component into one component."""
+    comp_of = target._comp_of
+    for comp in source.components():
+        c = comp_of[assignment[comp[0]]]
+        y = next((y for y in comp if comp_of[assignment[y]] != c), None)
+        if y is not None:
+            return comp[0], y
+    return None
+
+
 def thickening(u, b):
     """U[B] = {x : exists b in B with (x, b) in U}."""
     bs = set(b)
@@ -198,12 +208,6 @@ class SpaceMap:
 
     def __call__(self, x):
         return self.assignment[x]
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source:
-            raise ValueError("composition mismatch")
-        return SpaceMap(other.source, self.target, tuple(self.assignment[v] for v in other.assignment))
 
     def __eq__(self, other):
         return (
@@ -243,7 +247,9 @@ def is_morphism(f):
 
     Properness (preimages of bounded sets are bounded) holds for any set map
     between finite carriers because every subset is bounded, so it is not
-    checked.
+    checked.  Control is checked per component: every point of a component
+    whose image meets two target components has a partner mapped apart, so
+    `_split_component` finds the first pair a pairwise scan would report.
     """
     violations = []
     src, tgt = f.source, f.target
@@ -252,26 +258,15 @@ def is_morphism(f):
     ):
         violations.append("source and target groups differ")
     else:
-        for g in range(len(src.group)):
-            for x in range(src.n):
-                if f(src.act(g, x)) != tgt.act(g, f(x)):
-                    violations.append(
-                        f"not equivariant at g={src.group.label(g)!r}, x={src.label(x)!r}"
-                    )
-                    break
-            else:
-                continue
-            break
-    for x in range(src.n):
-        for y in range(src.n):
-            if src.related(x, y) and not tgt.related(f(x), f(y)):
-                violations.append(
-                    f"not controlled: ({src.label(x)!r}, {src.label(y)!r}) maps across components"
-                )
-                break
-        else:
-            continue
-        break
+        bad = next(((g, x) for g in range(len(src.group)) for x in range(src.n)
+                    if f(src.act(g, x)) != tgt.act(g, f(x))), None)
+        if bad is not None:
+            g, x = bad
+            violations.append(f"not equivariant at g={src.group.label(g)!r}, x={src.label(x)!r}")
+    split = _split_component(src, tgt, f.assignment)
+    if split is not None:
+        x, y = split
+        violations.append(f"not controlled: ({src.label(x)!r}, {src.label(y)!r}) maps across components")
     return MorphismReport(violations)
 
 
@@ -282,58 +277,31 @@ def are_close(f, g):
     return all(f.target.related(f(x), g(x)) for x in range(f.source.n))
 
 
-def _equivariant_maps(source, target):
-    """All equivariant set maps source -> target, built orbitwise.
-
-    A map is fixed by choosing, for each source orbit representative, an
-    image point whose stabilizer contains the representative's stabilizer.
-    """
-    reps = [orb[0] for orb in source.orbits()]
-    choices = []
-    for r in reps:
-        stab = set(source.stabilizer(r))
-        cands = [y for y in range(target.n) if stab <= set(target.stabilizer(y))]
-        choices.append(cands)
-        if not cands:
-            return
-    total = 1
-    for c in choices:
-        total *= len(c)
-        if total > SEARCH_BOUND:
-            raise ValueError(f"equivariant map search exceeds bound ({total} > {SEARCH_BOUND})")
-    for picks in product(*choices):
-        assignment = [None] * source.n
-        ok = True
-        for r, y in zip(reps, picks):
-            for g in range(len(source.group)):
-                gx = source.act(g, r)
-                gy = target.act(g, y)
-                if assignment[gx] is None:
-                    assignment[gx] = gy
-                elif assignment[gx] != gy:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and all(v is not None for v in assignment):
-            yield SpaceMap(source, target, tuple(assignment))
-
-
 def is_coarse_equivalence(f):
-    """Exhaustive search for a controlled equivariant inverse up to closeness."""
+    """Does f: X -> Y have a controlled equivariant inverse up to closeness?
+    True iff f is a morphism, no two components of X land in one component
+    of Y, and every y in Y is related to some f(x) with Stab(y) <= Stab(x);
+    translating x by G, one y per orbit is enough to check.
+
+    Proof.  Given such x for one y per orbit, g(h.y) = h.x is a well-defined
+    equivariant map, and f(g(h.y)) = h.f(x) is related to h.y, so f g is
+    close to the identity.  If y ~ y' then f(g(y)) ~ f(g(y')), so g(y) ~
+    g(y') by injectivity on components: g is controlled.  Likewise
+    f(g(f(x))) ~ f(x) gives g(f(x)) ~ x: g f is close to the identity.
+    Conversely an inverse g gives injectivity on components (f(x) ~ f(x')
+    implies x ~ g(f(x)) ~ g(f(x')) ~ x') and the points x = g(y): equivariance
+    gives Stab(y) <= Stab(g(y)), and closeness gives y ~ f(g(y)).
+    """
     if not is_morphism(f).ok:
         return False
     src, tgt = f.source, f.target
-    if src.n == 0 or tgt.n == 0:
-        return src.n == tgt.n
-    id_src = SpaceMap.identity(src)
-    id_tgt = SpaceMap.identity(tgt)
-    for g in _equivariant_maps(tgt, src):
-        if not is_morphism(g).ok:
-            continue
-        if are_close(g.compose(f), id_src) and are_close(f.compose(g), id_tgt):
-            return True
-    return False
+    landing = {}  # f is controlled: each source component lands in one target component
+    for comp in src.components():
+        if landing.setdefault(tgt._comp_of[f(comp[0])], comp) is not comp:
+            return False
+    return all(any(set(tgt.stabilizer(y)) <= set(src.stabilizer(x))
+                   for x in landing.get(tgt._comp_of[y], ()))
+               for y in (orb[0] for orb in tgt.orbits()))
 
 
 def _iterate_assignment(assignment):
@@ -362,18 +330,10 @@ def is_flasqueness_witness(x, f):
     if not are_close(f, SpaceMap.identity(x)):
         return False
     # condition (iii): iterates remain uniformly controlled
-    for it in _iterate_assignment(f.assignment):
-        for a in range(x.n):
-            for b in range(x.n):
-                if x.related(a, b) and not x.related(it[a], it[b]):
-                    return False
-    # condition (ii) with B = X: some iterate image must miss G.X = X entirely
-    for it in _iterate_assignment(f.assignment):
-        if not set(it):
-            break
-    else:
+    if any(_split_component(x, x, it) for it in _iterate_assignment(f.assignment)):
         return False
-    return True
+    # condition (ii) with B = X: some iterate image must miss G.X = X entirely
+    return any(not it for it in _iterate_assignment(f.assignment))
 
 
 def has_flasqueness_witness(x):
@@ -420,8 +380,7 @@ def is_complementary_pair(x, z, ys):
         if not a <= b:
             return False
     top = ys_idx[-1]
-    thick = {p for p in range(x.n) for q in top if x.related(p, q)}
-    if not thick <= top:
+    if any(not top.isdisjoint(comp) and not top.issuperset(comp) for comp in x.components()):
         return False
     return z_idx | top == set(range(x.n))
 

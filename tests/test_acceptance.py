@@ -51,7 +51,7 @@ from coarsehom import (
     trivial_group,
 )
 from coarsehom.chains import CoarseChainComplex, MooreBasis, TupleChainComplex
-from coarsehom.cyclic import hc, hh
+from coarsehom.cyclic import TotComplex
 from coarsehom.linalg import GF
 
 
@@ -122,7 +122,7 @@ def test_criterion_03_coset_tensor_matches_subgroup_algebra():
     space = tensor(coset_space(g, h), g_can_min(g))
     mixed = space_mixed_complex(space, 3, QQ)
     oracle = bar_complex(cyclic_group(3).table, 3, QQ)
-    assert [hh(mixed, n).betti for n in range(3)] == [oracle.hh(n) for n in range(3)]
+    assert [mixed.b_complex.homology(n).betti for n in range(3)] == [oracle.hh(n) for n in range(3)]
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -132,7 +132,9 @@ def test_criterion_03b_normalized_nerve_profiles_equal_the_full_nerve(corpus, do
     every fuzzed space (Eilenberg-Mac Lane; B = sN on the quotient)."""
     for space in corpus:
         full = space_mixed_complex(space, 4, domain)
-        expected = [hh(full, n).betti for n in range(4)], [hc(full, n).betti for n in range(4)]
+        tot = TotComplex(full)
+        expected = ([full.b_complex.homology(n).betti for n in range(4)],
+                    [tot.homology(n).betti for n in range(4)])
         assert nerve_profiles(space, 4, domain) == expected
 
 

@@ -213,6 +213,13 @@ def test_chain_sum_rejects_a_domain_mismatch():
     assert (q + q).coefficients == {(0,): 2}
 
 
+def test_chains_over_different_domains_are_not_equal():
+    x = point_space()
+    q = ControlledChain(x, 0, {(0,): 1}, QQ)
+    assert q == ControlledChain(x, 0, {(0,): 1}, QQ)
+    assert q != ControlledChain(x, 0, {(0,): 1}, GF(5))
+
+
 def test_ordinary_profile_of_z4_to_degree_seven():
     # the Moore complex has 3^7 = 2187 top representatives (4^7 = 16384 tuples)
     cx = CoarseChainComplex(g_can_min(cyclic_group(4)), 7, ZZ)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +220,21 @@ def test_missing_file(capsys):
     code, out, err = run_cli(capsys, "run", "does-not-exist.json")
     assert code == 2
     assert "cannot read" in err
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+GOLDEN_RUNS = {
+    "s3-all-d3": "@gcanmin:s3 --theory all --max-degree 3",
+    "z3-cyclic-fp5-d4": "@gcanmin:z3 --theory cyclic --coeff Fp:5 --max-degree 4",
+    "point-trace-d3": "@point --theory trace --max-degree 3",
+    "s3-trace-d4": "@gcanmin:s3 --theory trace --max-degree 4",
+    "z2-axioms-b6-seed3-d3": "@gcanmin:z2 --theory axioms --budget 6 --seed 3 --max-degree 3",
+    "s3-axioms-b10-seed0-d3": "@gcanmin:s3 --theory axioms --budget 10 --seed 0 --max-degree 3",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_json_report_matches_its_golden_file(capsys, name):
+    code, out, err = run_cli(capsys, "run", *GOLDEN_RUNS[name].split(), "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -29,12 +29,10 @@ from coarsehom.cyclic import (
     NerveBasis,
     NormalizedNerveBasis,
     _NerveData,
+    TotComplex,
     additive_cyclic_nerve,
-    hc,
-    hh,
     normalized_mixed_complex,
     to_mixed,
-    tot_B,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
 from coarsehom.homology import nerve_profiles, ordinary_profile, space_mixed_complex
@@ -82,9 +80,7 @@ def commutator_hh0(alg):
 def test_ground_field_dims_and_homology():
     m = generator_nerve(point_space(), 4)
     assert m.dims == [1, 1, 1, 1, 1]
-    mix = to_mixed(m)
-    assert [hh(mix, n).betti for n in range(4)] == [1, 0, 0, 0]
-    assert [hc(mix, n).betti for n in range(4)] == [1, 0, 1, 0]
+    assert _profiles(to_mixed(m), 4) == ([1, 0, 0, 0], [1, 0, 1, 0])
 
 
 def test_ground_field_B_pattern():
@@ -99,7 +95,7 @@ def test_ground_field_B_pattern():
 
 def test_tot_of_one_dimensional_mixed_complex():
     mix = to_mixed(generator_nerve(point_space(), 4))
-    tot = tot_B(mix)
+    tot = TotComplex(mix)
     assert tot.dims == [1, 1, 2, 2, 3]
 
 
@@ -113,8 +109,7 @@ def test_product_algebra_dims_are_powers():
 
 def test_product_algebra_homology():
     mix = to_mixed(generator_nerve(two_points(False), 4))
-    assert [hh(mix, n).betti for n in range(4)] == [2, 0, 0, 0]
-    assert [hc(mix, n).betti for n in range(4)] == [2, 0, 2, 0]
+    assert _profiles(mix, 4) == ([2, 0, 0, 0], [2, 0, 2, 0])
 
 
 def test_matrix_algebra_dims():
@@ -124,8 +119,7 @@ def test_matrix_algebra_dims():
 
 def test_matrix_algebra_is_morita_trivial():
     mix = to_mixed(generator_nerve(two_points(True), 3))
-    assert [hh(mix, n).betti for n in range(3)] == [1, 0, 0]
-    assert hc(mix, 0).betti == 1
+    assert _profiles(mix, 3) == ([1, 0, 0], [1, 0, 1])
 
 
 # --------------------------------------------------------- group algebras
@@ -135,21 +129,20 @@ def test_group_algebra_hh0_counts_conjugacy_classes():
     for grp, classes in ((cyclic_group(2), 2), (cyclic_group(3), 3), (symmetric_group(3), 3)):
         assert commutator_hh0(algebra_of(g_can_min(grp))) == classes
         mix = to_mixed(generator_nerve(g_can_min(grp), 2))
-        assert hh(mix, 0).betti == classes
+        assert mix.b_complex.homology(0).betti == classes
 
 
 def test_hh0_equals_commutator_oracle_mod_p():
     alg = algebra_of(g_can_min(cyclic_group(2)), GF(3))
     mix = to_mixed(generator_nerve(g_can_min(cyclic_group(2)), 2, GF(3)))
-    assert hh(mix, 0).betti == commutator_hh0(alg) == 2
+    assert mix.b_complex.homology(0).betti == commutator_hh0(alg) == 2
 
 
 def test_z2_nerve_full_profile():
     nerve = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 4)
     assert nerve.dims == [2, 4, 8, 16, 32]
     mix = to_mixed(nerve)
-    assert [hh(mix, n).betti for n in range(4)] == [2, 0, 0, 0]
-    assert [hc(mix, n).betti for n in range(4)] == [2, 0, 2, 0]
+    assert _profiles(mix, 4) == ([2, 0, 0, 0], [2, 0, 2, 0])
 
 
 # ------------------------------------------------- nerve/algebra agreement
@@ -247,8 +240,8 @@ def test_empty_object_list_gives_zero_module():
     m = additive_cyclic_nerve([], 3)
     assert m.dims == [0, 0, 0, 0]
     mix = to_mixed(m)
-    assert hh(mix, 0).betti == 0
-    assert hc(mix, 2).betti == 0
+    assert mix.b_complex.homology(0).betti == 0
+    assert TotComplex(mix).homology(2).betti == 0
 
 
 def test_nerve_domain_must_be_the_objects_domain():
@@ -338,9 +331,9 @@ def test_only_the_trace_and_the_identity_suite_build_the_full_nerve():
 def test_degree_out_of_range():
     mix = to_mixed(generator_nerve(point_space(), 2))
     with pytest.raises(ValueError, match="out of range"):
-        hh(mix, 2)
+        mix.b_complex.homology(2)
     with pytest.raises(ValueError, match="out of range"):
-        hc(mix, 2)
+        TotComplex(mix).homology(2)
     m = generator_nerve(point_space(), 2)
     with pytest.raises(ValueError):
         m.face(0, 0)
@@ -351,14 +344,16 @@ def test_degree_out_of_range():
 def test_mod_p_nerve_identities_hold():
     nerve = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(3)), GF(5)), 3)
     mix = to_mixed(nerve)
-    assert hh(mix, 0).betti == 3
+    assert mix.b_complex.homology(0).betti == 3
 
 
 # ------------------------------------------------------- normalized nerve
 
 
 def _profiles(mixed, top):
-    return [hh(mixed, n).betti for n in range(top)], [hc(mixed, n).betti for n in range(top)]
+    tot = TotComplex(mixed)
+    return ([mixed.b_complex.homology(n).betti for n in range(top)],
+            [tot.homology(n).betti for n in range(top)])
 
 
 def test_normalized_nerve_cap_fails_before_any_operator_is_built(monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 
 import coarsehom.spaces as spaces_module
 from coarsehom.groups import FiniteGroup, cyclic_group, symmetric_group, trivial_group
+from coarsehom.linalg import InvariantError
 from coarsehom.spaces import (
     GBornCoarseSpace,
     SpaceMap,
@@ -229,14 +230,20 @@ def test_flasqueness():
     assert has_flasqueness_witness(empty_space())
 
 
-def test_equivalence_search_stops_at_the_bound(monkeypatch):
-    # an inverse of the identity of a 3-point space is one of 3^3 maps
-    f = SpaceMap.identity(trivial_g_space(["a", "b", "c"], [("a", "b"), ("b", "c")]))
-    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 27)
-    assert is_coarse_equivalence(f)
-    monkeypatch.setattr(spaces_module, "SEARCH_BOUND", 26)
-    with pytest.raises(ValueError, match=r"equivariant map search exceeds bound \(27 > 26\)"):
-        is_coarse_equivalence(f)
+def test_equivalence_of_a_long_chain_needs_no_search():
+    # an inverse search would face 12^12 candidate maps
+    labels = [f"c{i}" for i in range(12)]
+    x = trivial_g_space(labels, list(zip(labels, labels[1:])))
+    assert len(x.components()) == 1
+    assert is_coarse_equivalence(SpaceMap.identity(x))
+    assert is_coarse_equivalence(SpaceMap(x, x, [0] * 12))
+
+
+def test_a_closure_that_is_not_invariant_is_an_internal_error(monkeypatch):
+    # 0 ~ 2, but the swap sends them to 1 and 3, which are apart
+    monkeypatch.setattr(spaces_module, "close_coarse_structure", lambda gens, n, action: [0, 1, 0, 3])
+    with pytest.raises(InvariantError, match="G-invariance of the coarse closure"):
+        GBornCoarseSpace(["a", "b", "c", "d"], [], cyclic_group(2), [[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
 def test_witness_search_stops_at_the_bound(monkeypatch):
