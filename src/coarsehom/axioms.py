@@ -250,12 +250,7 @@ MAX_POINTS = 6  # the largest space the generators draw
 BUDGET_END_CAP = 100_000
 BUDGET_NERVE_CAP = 8000
 
-_GROUP_MAKERS = (
-    trivial_group,
-    lambda: cyclic_group(2),
-    lambda: cyclic_group(3),
-    lambda: symmetric_group(3),
-)
+_GROUPS = (trivial_group(), cyclic_group(2), cyclic_group(3), symmetric_group(3))
 
 
 def _free_space(group, n_orbits, gen_pairs, prefix="p"):
@@ -292,20 +287,16 @@ def nerve_fits_budget(space):
     h = _orbit_hom_dims(space)
     if sum(map(sum, h)) ** 5 > BUDGET_END_CAP:
         return False
-    r = len(h)
-    power = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for _ in range(5):
-        power = [
-            [sum(power[i][k] * h[k][j] for k in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
-    return sum(power[i][i] for i in range(r)) <= BUDGET_NERVE_CAP
+    r = range(len(h))
+    h2 = [[sum(h[i][k] * h[k][j] for k in r) for j in r] for i in r]
+    nerve_dim = sum(h2[i][k] * h2[k][j] * h[j][i] for i in r for k in r for j in r)
+    return nerve_dim <= BUDGET_NERVE_CAP
 
 
 def random_space(rng):
     """A random free G-space on at most MAX_POINTS points, nerve-budgeted."""
     while True:
-        group = rng.choice(_GROUP_MAKERS)()
+        group = rng.choice(_GROUPS)
         g = len(group)
         if g > MAX_POINTS:
             continue
@@ -318,9 +309,9 @@ def random_space(rng):
 
 def random_equivalence(rng):
     """A non-identity coarse equivalence built by gluing on redundant orbits."""
-    makers = [m for m in _GROUP_MAKERS if 2 * len(m()) <= MAX_POINTS]
+    groups = [g for g in _GROUPS if 2 * len(g) <= MAX_POINTS]
     while True:
-        group = rng.choice(makers)()
+        group = rng.choice(groups)
         g = len(group)
         total = MAX_POINTS // g
         r_y = rng.randint(1, total - 1)

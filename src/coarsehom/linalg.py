@@ -16,17 +16,19 @@ The three entry points used by the homology code are
     >>> [s.get(i, i) for i in range(2)]
     [1, 6]
 
-Rank and Smith form share one sparse elimination engine,
+Rank and Smith form share one indexed sparse elimination engine,
 `_unit_eliminate`.  It works on integer rows (Q rows with their
-denominators cleared), picks pivots in Markowitz order (shortest column,
-then shortest row) and deletes each pivot's row and column.  Over F_p any
-nonzero entry is a pivot, so the rank is the pivot count.  Over Z and Q
-only +-1 entries are, and a unit pivot splits off exactly: the Smith form
-of the matrix is 1 + that of the Schur complement.  What is left is a small
-residual: `rank` finishes it with fraction-free elimination, and
-`smith_normal_form` without transforms runs its Euclid loop on it only
-(reduce-then-SNF).  The transform-tracking Smith form runs the Euclid loop
-on the whole matrix.
+denominators cleared), keeps a column-to-rows index, picks pivots in
+Markowitz order (shortest column, then shortest row) and deletes each
+pivot's row and column.  Over F_p any nonzero entry is a pivot, so the
+rank is the pivot count.  Over Z and Q only +-1 entries are, and a unit
+pivot splits off exactly: the Smith form of the matrix is 1 + that of the
+Schur complement.  What is left is a small residual, on plain row dicts
+with no index: `rank` finishes it with fraction-free elimination in column
+order (`_echelon`), and `smith_normal_form` without transforms runs its
+Euclid loop (`_euclid_smith`) on it only (reduce-then-SNF).  The
+transform-tracking Smith form, the tests' oracle, runs the Euclid loop on
+the whole matrix.
 
 This module is the one place that sums exact coefficients and lays out
 blocks.  A sparse sum anywhere in the package (a `Matrix` column, a chain,
@@ -42,7 +44,7 @@ it is a field.  Block matrices are laid out by `Matrix.block`, never by
 hand-written offsets, and the block grid of a total complex (of a mixed
 complex, or of an iterated mapping cone) by `total_boundaries` alone.
 
-`kernel_basis` uses fraction-free elimination in column order, with
+`kernel_basis` uses the same column-order elimination, `_echelon`, with
 content normalization so entries stay small; its reduced echelon form is
 unique, which keeps every downstream basis reproducible bit for bit.
 
@@ -551,28 +553,13 @@ def _echelon(rows, ncols, p, reduce):
     over F_p everything is reduced mod p.  Columns are consumed left to
     right, so the pivot columns are the standard echelon ones and, with
     reduce=True, the row span ends in reduced echelon form up to row scaling.
+    Its inputs are small (hom-space constraints, rank residuals), so a
+    column's rows are found by a scan, with no column index.
     """
-    col_rows = {}
-    for r, row in enumerate(rows):
-        for j in row:
-            col_rows.setdefault(j, set()).add(r)
-
-    def retouch(r, before, after):
-        for j in before - after:
-            s = col_rows.get(j)
-            if s is not None:
-                s.discard(r)
-                if not s:
-                    del col_rows[j]
-        for j in after - before:
-            col_rows.setdefault(j, set()).add(r)
-
     pivots = []
     in_pivot = set()
     for col in range(ncols):
-        holders = col_rows.get(col)
-        if not holders:
-            continue
+        holders = [r for r, row in enumerate(rows) if col in row]
         candidates = [r for r in holders if r not in in_pivot]
         if not candidates:
             continue
@@ -584,11 +571,11 @@ def _echelon(rows, ncols, p, reduce):
         in_pivot.add(piv)
         prow = rows[piv]
         b = prow[col]
-        targets = (holders - {piv}) if reduce else {r for r in candidates if r != piv}
-        for r in sorted(targets):
+        for r in holders if reduce else candidates:
+            if r == piv:
+                continue
             trow = rows[r]
             a = trow[col]
-            before = set(trow)
             if p:
                 factor = a * pow(b, p - 2, p) % p
                 for j, pv in prow.items():
@@ -609,7 +596,6 @@ def _echelon(rows, ncols, p, reduce):
                     else:
                         trow.pop(j, None)
                 _normalize_content(trow)
-            retouch(r, before, set(trow))
     return pivots
 
 
@@ -787,182 +773,95 @@ def _symmetric_divmod(a, b):
     return q, r
 
 
-class _SnfWork:
-    """Mutable integer matrix with tracked elementary row/column operations."""
-
-    def __init__(self, rows, ncols, with_transforms):
-        self.m = len(rows)
-        self.n = ncols
-        self.rows = rows
-        self.col_rows = {}
-        for i, row in enumerate(rows):
-            for j in row:
-                self.col_rows.setdefault(j, set()).add(i)
-        self.track = with_transforms
-        if with_transforms:
-            self.u = [{i: 1} for i in range(self.m)]
-            self.v_cols = [{j: 1} for j in range(self.n)]
-
-    def _set(self, i, j, v):
-        if v:
-            self.rows[i][j] = v
-            self.col_rows.setdefault(j, set()).add(i)
+def _add_multiple(dst, src, q):
+    """dst += q * src, for sparse vectors {index: int}."""
+    for j, v in src.items():
+        w = dst.get(j, 0) + q * v
+        if w:
+            dst[j] = w
         else:
-            self.rows[i].pop(j, None)
-            s = self.col_rows.get(j)
-            if s is not None:
-                s.discard(i)
-                if not s:
-                    del self.col_rows[j]
+            dst.pop(j, None)
 
-    def swap_rows(self, a, b):
-        if a == b:
-            return
-        for j in set(self.rows[a]) | set(self.rows[b]):
-            s = self.col_rows.setdefault(j, set())
-            ja, jb = self.rows[a].get(j), self.rows[b].get(j)
-            s.discard(a)
-            s.discard(b)
-            if ja is not None:
-                s.add(b)
-            if jb is not None:
-                s.add(a)
-            if not s:
-                del self.col_rows[j]
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        if self.track:
-            self.u[a], self.u[b] = self.u[b], self.u[a]
 
-    def swap_cols(self, a, b):
-        if a == b:
-            return
-        holders = self.col_rows.get(a, set()) | self.col_rows.get(b, set())
-        for i in holders:
-            va, vb = self.rows[i].get(a), self.rows[i].get(b)
-            if va is None and vb is None:
-                continue
-            if vb is None:
-                self.rows[i].pop(a)
-                self.rows[i][b] = va
-            elif va is None:
-                self.rows[i].pop(b)
-                self.rows[i][a] = vb
+def _add_col(rows, dst, src, q):
+    """Column dst += q * column src, on a matrix held as row dicts."""
+    for row in rows:
+        v = row.get(src)
+        if v:
+            w = row.get(dst, 0) + q * v
+            if w:
+                row[dst] = w
             else:
-                self.rows[i][a], self.rows[i][b] = vb, va
-        ca = self.col_rows.pop(a, None)
-        cb = self.col_rows.pop(b, None)
-        if cb is not None:
-            self.col_rows[a] = cb
-        if ca is not None:
-            self.col_rows[b] = ca
-        if self.track:
-            self.v_cols[a], self.v_cols[b] = self.v_cols[b], self.v_cols[a]
-
-    def add_row(self, dst, src, q):
-        """Row_dst += q * Row_src."""
-        if not q:
-            return
-        for j, v in list(self.rows[src].items()):
-            self._set(dst, j, self.rows[dst].get(j, 0) + q * v)
-        if self.track:
-            u = self.u[dst]
-            for j, v in self.u[src].items():
-                w = u.get(j, 0) + q * v
-                if w:
-                    u[j] = w
-                else:
-                    u.pop(j, None)
-
-    def add_col(self, dst, src, q):
-        """Col_dst += q * Col_src."""
-        if not q:
-            return
-        for i in list(self.col_rows.get(src, set())):
-            self._set(i, dst, self.rows[i].get(dst, 0) + q * self.rows[i][src])
-        if self.track:
-            vc = self.v_cols[dst]
-            for i, v in self.v_cols[src].items():
-                w = vc.get(i, 0) + q * v
-                if w:
-                    vc[i] = w
-                else:
-                    vc.pop(i, None)
-
-    def negate_row(self, r):
-        for j in self.rows[r]:
-            self.rows[r][j] = -self.rows[r][j]
-        if self.track:
-            self.u[r] = {j: -v for j, v in self.u[r].items()}
+                row.pop(dst, None)
 
 
-def _euclid_smith(work):
-    """Bring `work` to Smith form in place by Euclid steps; returns the diagonal."""
-    m, n = work.m, work.n
-    k = 0
-    limit = min(m, n)
-    while k < limit:
-        best = None
-        for j, holders in work.col_rows.items():
-            if j < k:
-                continue
-            for i in holders:
-                if i < k:
-                    continue
-                v = abs(work.rows[i][j])
-                key = (v, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+def _swap_cols(rows, a, b):
+    """Swap columns a and b of a matrix held as row dicts."""
+    for row in rows:
+        va, vb = row.pop(a, None), row.pop(b, None)
+        if va is not None:
+            row[b] = va
+        if vb is not None:
+            row[a] = vb
+
+
+def _euclid_smith(rows, ncols, u=None, v=None):
+    """Bring the integer row dicts `rows` (ncols columns) to Smith form in
+    place by Euclid steps; returns the diagonal.
+
+    u, when given, is the row dicts of a matrix that takes every row
+    operation, and v those of one that takes every column operation, so
+    starting from identities they end as U and V with U @ M @ V = S.  The
+    inputs are small or have few rows (what `_unit_eliminate` leaves), so
+    there is no column index: a column operation walks the rows.
+    """
+    row_mats = (rows,) if u is None else (rows, u)
+    col_mats = (rows,) if v is None else (rows, v)
+    m = len(rows)
+    limit = min(m, ncols)
+    for k in range(limit):
+        least = min(((abs(x), i, j) for i in range(k, m) for j, x in rows[i].items() if j >= k),
+                    default=None)
+        if least is None:
             break
-        _, bi, bj = best
-        work.swap_rows(k, bi)
-        work.swap_cols(k, bj)
+        _, i, j = least
         while True:
-            # clear column k with row operations, Euclid-stepping as needed
-            dirty = False
-            while True:
-                holders = [i for i in work.col_rows.get(k, set()) if i > k]
-                if not holders:
-                    break
-                b = work.rows[k][k]
-                i = min(holders)
-                a = work.rows[i][k]
-                q, r = _symmetric_divmod(a, b)
-                work.add_row(i, k, -q)
-                if r:
-                    work.swap_rows(k, i)
-            while True:
-                cols = [j for j in work.rows[k] if j > k]
-                if not cols:
-                    break
-                dirty = True
-                b = work.rows[k][k]
-                j = min(cols)
-                a = work.rows[k][j]
-                q, r = _symmetric_divmod(a, b)
-                work.add_col(j, k, -q)
-                if r:
-                    work.swap_cols(k, j)
-            if not dirty and not any(i > k for i in work.col_rows.get(k, set())):
-                pivot = work.rows[k].get(k, 0)
-                offender = None
-                if pivot:
-                    for j, holders in work.col_rows.items():
-                        if j <= k:
-                            continue
-                        for i in holders:
-                            if i > k and work.rows[i][j] % pivot:
-                                offender = i
-                                break
-                        if offender is not None:
-                            break
-                if offender is None:
-                    break
-                work.add_row(k, offender, 1)
-        if work.rows[k].get(k, 0) < 0:
-            work.negate_row(k)
-        k += 1
-    return [work.rows[i].get(i, 0) for i in range(limit)]
+            # move entry (i, j) to the pivot, then one sweep reduces column k
+            # and row k modulo it; the least remainder is the next pivot
+            for mat in row_mats:
+                mat[k], mat[i] = mat[i], mat[k]
+            if j != k:
+                for mat in col_mats:
+                    _swap_cols(mat, k, j)
+            b = rows[k][k]
+            for r in range(k + 1, m):
+                a = rows[r].get(k)
+                if a:
+                    q = _symmetric_divmod(a, b)[0]
+                    for mat in row_mats:
+                        _add_multiple(mat[r], mat[k], -q)
+            for c in [c for c in rows[k] if c > k]:
+                q = _symmetric_divmod(rows[k][c], b)[0]
+                for mat in col_mats:
+                    _add_col(mat, c, k, -q)
+            rest = [(abs(rows[i][k]), i, k) for i in range(k + 1, m) if k in rows[i]]
+            rest += [(abs(x), k, j) for j, x in rows[k].items() if j > k]
+            if rest:
+                _, i, j = min(rest)
+                continue
+            # the pivot is isolated; it must divide what is left, or a
+            # row holding an entry it does not divide is added to row k
+            offender = next((r for r in range(k + 1, m)
+                             if any(x % b for c, x in rows[r].items() if c > k)), None)
+            if offender is None:
+                break
+            for mat in row_mats:
+                _add_multiple(mat[k], mat[offender], 1)
+            i = j = k
+        if rows[k][k] < 0:
+            for mat in row_mats:
+                mat[k] = {j: -x for j, x in mat[k].items()}
+    return [rows[i].get(i, 0) for i in range(limit)]
 
 
 def smith_normal_form(matrix, with_transforms=True):
@@ -972,35 +871,28 @@ def smith_normal_form(matrix, with_transforms=True):
     and s is diagonal with each diagonal entry dividing the next.  With
     with_transforms=False, u and v are returned as None: the unit pivots are
     eliminated first (`_unit_eliminate`) and the Euclid loop runs only on
-    the residual.  The transform-tracking path runs the Euclid loop on the
-    whole matrix.
+    the residual.  The transform-tracking path, the tests' oracle, runs the
+    Euclid loop on the whole matrix, with u and v kept as row dicts.
     """
     if matrix.domain is not ZZ:
         raise ValueError("smith_normal_form is defined over Z")
     m, n = matrix.nrows, matrix.ncols
     rows = _row_dicts(matrix)
     if with_transforms:
-        work = _SnfWork(rows, n, True)
-        diag = _euclid_smith(work)
+        u = [{i: 1} for i in range(m)]
+        v = [{j: 1} for j in range(n)]
+        diag = _euclid_smith(rows, n, u, v)
     else:
         units = _unit_eliminate(rows, 0)
         rest, ncols = _residual(rows)
-        diag = [1] * units + _euclid_smith(_SnfWork(rest, ncols, False))
+        diag = [1] * units + _euclid_smith(rest, ncols)
     s = Matrix(m, n, ZZ)
-    for i, v in enumerate(diag):
-        if v:
-            s.set(i, i, v)
+    for i, d in enumerate(diag):
+        if d:
+            s.set(i, i, d)
     if not with_transforms:
         return s, None, None
-    u = Matrix(m, m, ZZ)
-    for i, row in enumerate(work.u):
-        for j, v in row.items():
-            u.set(i, j, v)
-    v = Matrix(n, n, ZZ)
-    for j, col in enumerate(work.v_cols):
-        for i, val in col.items():
-            v.set(i, j, val)
-    return s, u, v
+    return s, Matrix.from_columns(u, m, ZZ).transpose(), Matrix.from_columns(v, n, ZZ).transpose()
 
 
 def invariant_factors(matrix):

@@ -230,6 +230,7 @@ GOLDEN_RUNS = {
     "s3-trace-d4": "@gcanmin:s3 --theory trace --max-degree 4",
     "z2-axioms-b6-seed3-d3": "@gcanmin:z2 --theory axioms --budget 6 --seed 3 --max-degree 3",
     "s3-axioms-b10-seed0-d3": "@gcanmin:s3 --theory axioms --budget 10 --seed 0 --max-degree 3",
+    "z4-ordinary-z-d6": "@gcanmin:z4 --theory ordinary --coeff Z --max-degree 6",
 }
 
 

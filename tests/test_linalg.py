@@ -20,6 +20,7 @@ from coarsehom.linalg import (
     homology_at,
     invariant_factors,
     kernel_basis,
+    kernel_data,
     rank,
     smith_normal_form,
 )
@@ -158,6 +159,64 @@ def test_kernel_vectors_annihilate(data):
         assert m.mat_vec(vec) == {}
 
 
+def _constraint_system(rng, domain, nrows, ncols):
+    """A tall sparse system shaped like a hom-space constraint system: rows
+    of about two entries, each a relation a*x_i + b*x_j = 0 inside one group
+    of columns that a hidden vector of that group satisfies, plus rows
+    pinning single columns to zero, so the kernel is neither 0 nor everything.
+    Fractions appear over Q only."""
+    groups = {}
+    for j in range(ncols):
+        groups.setdefault(rng.randrange(max(1, ncols // 3)), []).append(j)
+    groups = list(groups.values())
+    values = (1, -1, 2, -3, 5) if domain.char else (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+    hidden = {j: rng.choice(values) for j in range(ncols)}
+    m = Matrix(nrows, ncols, domain)
+    for r in range(nrows):
+        cols = rng.choice(groups)
+        if len(cols) == 1 or rng.random() < 0.05:
+            m.set(r, rng.choice(cols), rng.choice(values))
+            continue
+        i, j = rng.sample(cols, 2)
+        scale = rng.choice(values)
+        m.set(r, i, scale * hidden[j])
+        m.set(r, j, -scale * hidden[i])
+    return m
+
+
+def test_kernel_basis_is_sympys_nullspace():
+    from sympy import Matrix as SymMatrix
+    from sympy import Rational
+
+    rng = random.Random(41)
+    nontrivial = 0
+    for _ in range(20):
+        ncols = rng.randint(5, 36)
+        m = _constraint_system(rng, QQ, rng.randint(20, 180), ncols)
+        sym = SymMatrix(m.nrows, ncols, lambda i, j: Rational(Fraction(m.get(i, j)).numerator,
+                                                              Fraction(m.get(i, j)).denominator))
+        theirs = [{j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(vec) if x}
+                  for vec in sym.nullspace()]
+        ours = kernel_basis(m)
+        assert ours == theirs
+        nontrivial += 0 < len(ours) < ncols
+    assert nontrivial
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_kernel_basis_mod_p_on_constraint_systems(p):
+    rng = random.Random(43 + p)
+    for _ in range(10):
+        ncols = rng.randint(5, 36)
+        m = _constraint_system(rng, GF(p), rng.randint(20, 180), ncols)
+        basis, free = kernel_data(m)
+        assert basis == kernel_basis(m)
+        assert len(basis) == ncols - rank(m)
+        for vec, f in zip(basis, free):
+            assert m.mat_vec(vec) == {}
+            assert [vec.get(g, 0) for g in free] == [int(g == f) for g in free]
+
+
 def test_smith_normal_form_hand():
     s, u, v = smith_normal_form(Matrix.from_dense([[2, 0], [0, 3]], ZZ))
     assert s.to_dense() == [[1, 0], [0, 6]]
@@ -281,6 +340,42 @@ def test_invariant_factors_match_transforms_on_sparse_boundary_like():
                 if rng.random() < 0.15:
                     m.set(i, j, rng.choice((-1, 1, 1, -2, 2, 3)))
         assert invariant_factors(m) == _diagonal_factors(smith_normal_form(m)[0])
+
+
+_NON_UNITS = (-6, -4, -3, -2, 2, 3, 4, 6)
+
+
+def _wide_residual(rng, ncols):
+    """2 x ncols with no entry +-1: the second row is 6w + 2 * the first,
+    so every 2 x 2 minor is divisible by 6."""
+    top = [rng.choice(_NON_UNITS) for _ in range(ncols)]
+    return Matrix.from_dense([top, [6 * rng.choice(_NON_UNITS) + 2 * a for a in top]], ZZ)
+
+
+def _tall_residual(rng, nrows, ncols):
+    """nrows x ncols, sparse, with no entry +-1; its last two rows are even,
+    so at least two invariant factors are."""
+    rows = [[rng.choice(_NON_UNITS) if rng.random() < 0.3 else 0 for _ in range(ncols)]
+            for _ in range(nrows - 2)]
+    rows += [[4 * rng.choice(_NON_UNITS) * (rng.random() < 0.3) + 2 * a for a in rows[i]]
+             for i in rng.sample(range(nrows - 2), 2)]
+    return Matrix.from_dense(rows, ZZ)
+
+
+@pytest.mark.parametrize("shape", [(2, 300), (16, 105)])
+def test_smith_form_on_wide_residuals_without_units(shape):
+    # the shapes the Euclid loop sees after the unit pivots: a 2 x 6,115
+    # dense residual (s3, XH over Z, cap 6) and a 16 x 105 one (z4, cap 6)
+    rng = random.Random(f"residual {shape}")
+    for _ in range(3):
+        m = _wide_residual(rng, shape[1]) if shape[0] == 2 else _tall_residual(rng, *shape)
+        assert not any(v in (1, -1) for _, _, v in m.entries())
+        factors = invariant_factors(m)
+        assert factors == _sympy_factors(m)
+        assert factors[-1] > 1
+        s, u, v = smith_normal_form(m)
+        assert _diagonal_factors(s) == factors
+        assert (u @ m @ v) == s
 
 
 def test_smith_rejects_field_matrices():
