@@ -24,9 +24,11 @@ pivot's row and column.  Over F_p any nonzero entry is a pivot, so the
 rank is the pivot count.  Over Z and Q only +-1 entries are, and a unit
 pivot splits off exactly: the Smith form of the matrix is 1 + that of the
 Schur complement.  What is left is a small residual, on plain row dicts
-with no index: `rank` finishes it with fraction-free elimination in column
-order (`_echelon`), and `smith_normal_form` without transforms runs its
-Euclid loop (`_euclid_smith`) on it only (reduce-then-SNF).  The
+with no index: over Q fraction-free elimination in column order
+(`_echelon`) finishes the rank, and over Z the Euclid loop
+(`_euclid_smith`) the Smith form (reduce-then-SNF).  One helper,
+`_reduce`, runs the engine and the residual step for `rank`,
+`smith_normal_form` without transforms and `Complex`.  The
 transform-tracking Smith form, the tests' oracle, runs the Euclid loop on
 the whole matrix.
 
@@ -50,7 +52,16 @@ unique, which keeps every downstream basis reproducible bit for bit.
 
 `Complex` is the one chain-complex value: it checks d^2 = 0 once, when it
 is built (the package's only such check), and its `homology` reduces each
-boundary at most once.  A failed identity raises `InvariantError`.
+boundary at most once, in degree order, compressed (the compression step
+of persistent homology: Chen and Kerber 2011; Bauer, Kerber and
+Reininghaus 2014).  Before d[k+1] is reduced, the rows indexed by the
+engine's unit pivot columns Q of d[k] are deleted from it.  Those columns
+are independent, so ker d[k] projects injectively away from Q, and im d[k+1]
+lies in ker d[k]: the rank of d[k+1] is kept.  Over Z the pivot block is
+unimodular, so the projected kernel stays saturated and the invariant
+factors are kept too; the residual's pivots are never in Q.  Deleting rows
+keeps ker d[k+1], so the argument repeats in every degree.  A failed
+identity raises `InvariantError`.
 """
 
 from __future__ import annotations
@@ -612,8 +623,9 @@ def _unit_eliminate(rows, p):
     Each pivot's row and column are deleted.  Up to unimodular row and
     column operations, a unit pivot splits off as a 1 x 1 block beside the
     Schur complement, so rank and Smith form are those of what is left
-    plus one unit per pivot.  Returns the pivot count; the non-pivot rows are left
-    holding the Schur complement (the residual), which is empty over F_p.
+    plus one unit per pivot.  Returns the list of pivot columns, which are
+    independent columns of the input; the non-pivot rows are left holding
+    the Schur complement (the residual), which is empty over F_p.
     """
     col_rows = {}
     for r, row in enumerate(rows):
@@ -626,7 +638,7 @@ def _unit_eliminate(rows, p):
     heap = [(len(holders), j) for j, holders in col_rows.items()]
     heapify(heap)
     barren = set()  # columns seen without a unit since their last update
-    count = 0
+    pivots = []
     while heap:
         length, c = heappop(heap)
         holders = col_rows.get(c)
@@ -682,8 +694,8 @@ def _unit_eliminate(rows, p):
                 heappush(heap, (len(holders), j))
             else:
                 del col_rows[j]
-        count += 1
-    return count
+        pivots.append(c)
+    return pivots
 
 
 def _residual(rows):
@@ -697,21 +709,35 @@ def _residual(rows):
     return [{index[j]: v for j, v in row.items()} for row in rows], len(index)
 
 
-def rank(matrix):
-    """Rank over the matrix's own domain (over Z this is the rank over Q).
+def _reduce(matrix, drop=()):
+    """Reduce `matrix` with the rows in `drop` deleted.
 
-    Unit pivots first (`_unit_eliminate`), then fraction-free elimination
-    of the residual, which is empty over F_p.
+    Returns (result, pivots): the rank over a field, or the nonzero
+    invariant factors over Z, and the columns of the engine's pivots.
+    Unit pivots first (`_unit_eliminate`), then the residual, which is empty
+    over F_p: over Q fraction-free elimination in column order (`_echelon`),
+    over Z the Euclid loop.  A zero matrix builds no rows and has no pivots.
     """
+    dom = matrix.domain
     if matrix.is_zero():
-        return 0
-    rows = _integer_rows(matrix)
-    p = matrix.domain.char
-    pivots = _unit_eliminate(rows, p)
-    if p:
-        return pivots
+        return (0 if dom.is_field else []), []
+    rows = _integer_rows(matrix) if dom.is_field else _row_dicts(matrix)
+    for i in drop:
+        rows[i] = {}
+    pivots = _unit_eliminate(rows, dom.char)
+    if dom.char:
+        return len(pivots), pivots
     rest, ncols = _residual(rows)
-    return pivots + len(_echelon(rest, ncols, 0, reduce=False))
+    if dom.is_field:
+        return len(pivots) + len(_echelon(rest, ncols, 0, reduce=False)), pivots
+    return [1] * len(pivots) + [f for f in _euclid_smith(rest, ncols) if f], pivots
+
+
+def rank(matrix):
+    """Rank over the matrix's own domain (over Z this is the rank over Q,
+    the number of invariant factors)."""
+    result = _reduce(matrix)[0]
+    return result if matrix.domain.is_field else len(result)
 
 
 def kernel_data(matrix):
@@ -871,21 +897,19 @@ def smith_normal_form(matrix, with_transforms=True):
     and s is diagonal with each diagonal entry dividing the next.  With
     with_transforms=False, u and v are returned as None: the unit pivots are
     eliminated first (`_unit_eliminate`) and the Euclid loop runs only on
-    the residual.  The transform-tracking path, the tests' oracle, runs the
-    Euclid loop on the whole matrix, with u and v kept as row dicts.
+    the residual (`_reduce`).  The transform-tracking path, the tests'
+    oracle, runs the Euclid loop on the whole matrix, with u and v kept as
+    row dicts.
     """
     if matrix.domain is not ZZ:
         raise ValueError("smith_normal_form is defined over Z")
     m, n = matrix.nrows, matrix.ncols
-    rows = _row_dicts(matrix)
     if with_transforms:
         u = [{i: 1} for i in range(m)]
         v = [{j: 1} for j in range(n)]
-        diag = _euclid_smith(rows, n, u, v)
+        diag = _euclid_smith(_row_dicts(matrix), n, u, v)
     else:
-        units = _unit_eliminate(rows, 0)
-        rest, ncols = _residual(rows)
-        diag = [1] * units + _euclid_smith(rest, ncols)
+        diag = _reduce(matrix)[0]
     s = Matrix(m, n, ZZ)
     for i, d in enumerate(diag):
         if d:
@@ -918,9 +942,31 @@ class Complex:
 
     d[n-1] @ d[n] = 0 is checked once, here, and the product rejects shapes
     or domains that do not match with a ValueError; `name` labels the
-    complex in the error.  `homology(n)` reduces each boundary at most once
-    and caches the result: its rank over a field, its invariant factors over
-    Z, where the rank is the number of factors.
+    complex in the error.  `homology(n)` reduces the boundaries in degree
+    order, d[0] up to d[n+1], each at most once, and caches the result: its
+    rank over a field, its invariant factors over Z, where the rank is the
+    number of factors.
+
+    The reduction compresses (Chen and Kerber 2011; Bauer, Kerber and
+    Reininghaus 2014): before d[k+1] is reduced, the rows indexed by the
+    pivot columns Q of d[k] are deleted from it.  Those columns are
+    independent, so ker d[k] meets the span of the basis vectors Q only in
+    0 and projects injectively away from Q; im d[k+1] lies in ker d[k], so
+    the deletion keeps the rank of d[k+1].  Q holds the engine's unit
+    pivots only (every pivot over F_p, the +-1 ones over Z and Q, never the
+    residual's), so over Z the pivot block is unimodular: a kernel vector
+    whose projection is divisible by m is itself divisible by m, the
+    projected kernel stays a direct summand, and the invariant factors of
+    d[k+1] do not change.  Deleting rows keeps the kernel, so the argument
+    holds again in every later degree.  A residual pivot is no unit, and
+    its row must stay: below, d[1] has no unit, the Euclid loop pivots on
+    its entry 2 in column 0, and deleting row 0 of d[2] would leave [[-2]],
+    a false Z/2.
+
+        >>> d1 = Matrix.from_dense([[2, 3]], ZZ)
+        >>> d2 = Matrix.from_dense([[3], [-2]], ZZ)
+        >>> Complex([Matrix(0, 1, ZZ), d1, d2]).homology(1)
+        HomologyResult(degree=1, betti=0, torsion=())
     """
 
     def __init__(self, d, name="complex"):
@@ -931,8 +977,8 @@ class Complex:
         self.domain = d[0].domain
         self.max_degree = len(d) - 1
         self.dims = [m.ncols for m in d]
-        self._ranks = {}
-        self._factors = {}
+        self._reduced = []  # per degree: the rank over a field, the factors over Z
+        self._pivots = []  # pivot columns of the last boundary reduced
 
     def homology(self, n):
         """ker d[n] / im d[n+1]: a betti number and, over Z, the torsion.
@@ -942,23 +988,15 @@ class Complex:
         """
         if not (0 <= n < self.max_degree):
             raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
+        while len(self._reduced) <= n + 1:
+            result, self._pivots = _reduce(self.d[len(self._reduced)], self._pivots)
+            self._reduced.append(result)
+        low, high = self._reduced[n], self._reduced[n + 1]
         torsion = ()
         if self.domain is ZZ:
-            torsion = tuple(f for f in self._invariant_factors(n + 1) if f > 1)
-        betti = self.dims[n] - self._rank(n) - self._rank(n + 1)
-        return HomologyResult(degree=n, betti=betti, torsion=torsion)
-
-    def _rank(self, n):
-        if n in self._factors:
-            return len(self._factors[n])
-        if n not in self._ranks:
-            self._ranks[n] = rank(self.d[n])
-        return self._ranks[n]
-
-    def _invariant_factors(self, n):
-        if n not in self._factors:
-            self._factors[n] = invariant_factors(self.d[n])
-        return self._factors[n]
+            torsion = tuple(f for f in high if f > 1)
+            low, high = len(low), len(high)
+        return HomologyResult(degree=n, betti=self.dims[n] - low - high, torsion=torsion)
 
 
 def homology_at(d_out, d_in, degree=0):

@@ -599,6 +599,13 @@ def test_s3_normalized_nerve_to_degree_5():
         [3, 0, 0, 0, 0], [3, 0, 3, 0, 3])
 
 
+@pytest.mark.slow
+def test_s3_normalized_nerve_to_degree_6():
+    # 93,750 top basis elements, each boundary compressed by the one below
+    assert nerve_profiles(g_can_min(symmetric_group(3)), 6, QQ) == (
+        [3, 0, 0, 0, 0, 0], [3, 0, 3, 0, 3, 0])
+
+
 def test_a_spread_unit_becomes_a_basis_vector():
     # End of the generator on two unrelated points is k x k, unit e_0 + e_1
     gen = generator(two_points(False), QQ)

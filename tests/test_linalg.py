@@ -8,13 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarsehom.linalg as linalg_module
-from coarsehom.chains import ControlledChain, boundary_of_chain
+from coarsehom.axioms import _iterated_cone, random_equivalence, random_space
+from coarsehom.chains import (CoarseChainComplex, ControlledChain, boundary_of_chain,
+                              pushforward_matrix)
 from coarsehom.controlled import endomorphism_algebra, generator
-from coarsehom.groups import cyclic_group
+from coarsehom.cyclic import TotComplex
+from coarsehom.groups import cyclic_group, symmetric_group
+from coarsehom.homology import nerve_complex
 from coarsehom.linalg import (
     GF,
     QQ,
     ZZ,
+    Complex,
     Matrix,
     finished,
     homology_at,
@@ -407,6 +412,84 @@ def test_homology_rejects_bad_composition():
     d_in = Matrix.from_dense([[1]], QQ)
     with pytest.raises(ValueError):
         homology_at(d_out, d_in)
+
+
+# -- compression: a complex reduced in degree order ----------------------------
+
+
+def _assert_compression_matches_each_boundary(cx):
+    """The ranks (factors over Z) that `cx` reads off its compressed
+    boundaries equal the per-matrix ones of every boundary."""
+    cx.homology(cx.max_degree - 1)
+    per_matrix = invariant_factors if cx.domain is ZZ else rank
+    assert cx._reduced == [per_matrix(d) for d in cx.d]
+
+
+def _recorded_drops(monkeypatch):
+    """The row sets deleted before each reduction, in call order."""
+    drops = []
+    real = linalg_module._reduce
+
+    def recorded(m, drop):
+        drops.append(set(drop))
+        return real(m, drop)
+
+    monkeypatch.setattr(linalg_module, "_reduce", recorded)
+    return drops
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ], ids=["Z", "Q"])
+def test_compressed_chain_complexes_match_each_boundary(domain):
+    rng = random.Random(23)
+    for _ in range(6):
+        _assert_compression_matches_each_boundary(CoarseChainComplex(random_space(rng), 3, domain))
+    _assert_compression_matches_each_boundary(
+        CoarseChainComplex(g_can_min(symmetric_group(3)), 4, domain))
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_compressed_nerve_complexes_match_each_boundary(domain):
+    rng = random.Random(5)
+    spaces = [g_can_min(symmetric_group(3))] + [random_space(rng) for _ in range(3)]
+    for space in spaces:
+        mixed = nerve_complex(space, 3, domain)
+        _assert_compression_matches_each_boundary(mixed.b_complex)
+        _assert_compression_matches_each_boundary(TotComplex(mixed))
+
+
+def test_compressed_axiom_cone_matches_each_boundary():
+    f = random_equivalence(random.Random(3))
+    cx, cy = (CoarseChainComplex(x, 3, ZZ) for x in (f.source, f.target))
+    push = [pushforward_matrix(cx, cy, f, n) for n in range(4)]
+    cone = _iterated_cone([cy.d, cx.d], [push], 3, ZZ)
+    _assert_compression_matches_each_boundary(cone)
+    assert [(h.betti, h.torsion) for h in map(cone.homology, range(3))] == [(0, ())] * 3
+
+
+def test_compression_keeps_residual_pivot_rows(monkeypatch):
+    # no unit pivot in d[1], so no row of d[2] goes: dropping the row of
+    # the residual's pivot (the 2) would leave [[-2]] and a false Z/2
+    drops = _recorded_drops(monkeypatch)
+    cx = Complex([Matrix.zeros(0, 1, ZZ), Matrix.from_dense([[2, 3]], ZZ),
+                  Matrix.from_dense([[3], [-2]], ZZ)])
+    assert cx.homology(1) == linalg_module.HomologyResult(degree=1, betti=0, torsion=())
+    assert drops == [set(), set(), set()]
+    monkeypatch.undo()
+    _assert_compression_matches_each_boundary(cx)
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ], ids=["Z", "Q"])
+def test_compression_of_a_pair_with_a_unit_pivot(monkeypatch, domain):
+    # ker d_out is spanned by (1, -1, 0) and (0, 2, -1); d_in hits twice the
+    # first and once the second, so H = Z/2 over Z and 0 over Q
+    d_out = Matrix.from_dense([[1, 1, 2]], domain)
+    d_in = Matrix.from_dense([[2, 0], [-2, 2], [0, -1]], domain)
+    drops = _recorded_drops(monkeypatch)
+    h = homology_at(d_out, d_in)
+    assert len(drops) == 2 and len(drops[1]) == 1 and drops[1] <= {0, 1}
+    assert (h.betti, h.torsion) == ((0, (2,)) if domain is ZZ else (0, ()))
+    monkeypatch.undo()
+    _assert_compression_matches_each_boundary(Complex([d_out, d_in]))
 
 
 def test_domain_coercions():
