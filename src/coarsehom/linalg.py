@@ -27,10 +27,9 @@ Schur complement.  What is left is a small residual, on plain row dicts
 with no index: over Q fraction-free elimination in column order
 (`_echelon`) finishes the rank, and over Z the Euclid loop
 (`_euclid_smith`) the Smith form (reduce-then-SNF).  One helper,
-`_reduce`, runs the engine and the residual step for `rank`,
-`smith_normal_form` without transforms and `Complex`.  The
-transform-tracking Smith form, the tests' oracle, runs the Euclid loop on
-the whole matrix.
+`_reduce`, runs the engine and the residual step for `rank` and
+`smith_normal_form` without transforms.  The transform-tracking Smith
+form, the tests' oracle, runs the Euclid loop on the whole matrix.
 
 This module is the one place that sums exact coefficients and lays out
 blocks.  A sparse sum anywhere in the package (a `Matrix` column, a chain,
@@ -60,12 +59,15 @@ are independent, so ker d[k] projects injectively away from Q, and im d[k+1]
 lies in ker d[k]: the rank of d[k+1] is kept.  Over Z the pivot block is
 unimodular, so the projected kernel stays saturated and the invariant
 factors are kept too; the residual's pivots are never in Q.  Deleting rows
-keeps ker d[k+1], so the argument repeats in every degree.  A failed
-identity raises `InvariantError`.
+keeps ker d[k+1], so the argument repeats in every degree.  Each
+compressed boundary, a `_Compressed` matrix, goes to `rank` or
+`invariant_factors` like any other matrix, and its reduction records Q
+on it.  A failed identity raises `InvariantError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -709,35 +711,34 @@ def _residual(rows):
     return [{index[j]: v for j, v in row.items()} for row in rows], len(index)
 
 
-def _reduce(matrix, drop=()):
-    """Reduce `matrix` with the rows in `drop` deleted.
+def _reduce(matrix):
+    """(rank, torsion): the rank over the matrix's own domain and, over Z,
+    the invariant factors above 1 in divisibility order (else ()).
 
-    Returns (result, pivots): the rank over a field, or the nonzero
-    invariant factors over Z, and the columns of the engine's pivots.
     Unit pivots first (`_unit_eliminate`), then the residual, which is empty
     over F_p: over Q fraction-free elimination in column order (`_echelon`),
-    over Z the Euclid loop.  A zero matrix builds no rows and has no pivots.
+    over Z the Euclid loop.  A zero matrix builds no rows.  A `_Compressed`
+    boundary is left holding the columns of the unit pivots.
     """
     dom = matrix.domain
     if matrix.is_zero():
-        return (0 if dom.is_field else []), []
+        return 0, ()
     rows = _integer_rows(matrix) if dom.is_field else _row_dicts(matrix)
-    for i in drop:
-        rows[i] = {}
     pivots = _unit_eliminate(rows, dom.char)
+    if isinstance(matrix, _Compressed):
+        matrix.pivots = pivots
     if dom.char:
-        return len(pivots), pivots
+        return len(pivots), ()
     rest, ncols = _residual(rows)
     if dom.is_field:
-        return len(pivots) + len(_echelon(rest, ncols, 0, reduce=False)), pivots
-    return [1] * len(pivots) + [f for f in _euclid_smith(rest, ncols) if f], pivots
+        return len(pivots) + len(_echelon(rest, ncols, 0, reduce=False)), ()
+    factors = [f for f in _euclid_smith(rest, ncols) if f]
+    return len(pivots) + len(factors), tuple(f for f in factors if f > 1)
 
 
 def rank(matrix):
-    """Rank over the matrix's own domain (over Z this is the rank over Q,
-    the number of invariant factors)."""
-    result = _reduce(matrix)[0]
-    return result if matrix.domain.is_field else len(result)
+    """Rank over the matrix's own domain (over Z this is the rank over Q)."""
+    return _reduce(matrix)[0]
 
 
 def kernel_data(matrix):
@@ -909,7 +910,8 @@ def smith_normal_form(matrix, with_transforms=True):
         v = [{j: 1} for j in range(n)]
         diag = _euclid_smith(_row_dicts(matrix), n, u, v)
     else:
-        diag = _reduce(matrix)[0]
+        r, torsion = _reduce(matrix)
+        diag = [1] * (r - len(torsion)) + list(torsion)
     s = Matrix(m, n, ZZ)
     for i, d in enumerate(diag):
         if d:
@@ -937,15 +939,54 @@ class InvariantError(ValueError):
         self.degree = degree
 
 
+class _ColumnsWithout(Mapping):
+    """A read-only view of a column store {j: {i: v}} without the rows in
+    `rows`: each column is filtered when it is read, none is copied."""
+
+    def __init__(self, cols, rows):
+        self._base = cols
+        self._rows = rows
+
+    def __getitem__(self, j):
+        col = {i: v for i, v in self._base[j].items() if i not in self._rows}
+        if not col:
+            raise KeyError(j)
+        return col
+
+    def __iter__(self):
+        rows = self._rows
+        return (j for j, col in self._base.items() if not rows.issuperset(col))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+class _Compressed(Matrix):
+    """A boundary with the rows in `deleted` (a set) zeroed; the shape is kept.
+
+    Its columns are a view of the boundary's (`_ColumnsWithout`), so it is
+    for reading only.  `_reduce` leaves the columns of its unit pivots in
+    `pivots`: the rows to delete from the next boundary of the complex.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self, boundary, deleted):
+        super().__init__(boundary.nrows, boundary.ncols, boundary.domain)
+        self._cols = _ColumnsWithout(boundary._cols, deleted) if deleted else boundary._cols
+        self.pivots = []
+
+
 class Complex:
     """A chain complex of free modules: boundaries d[0..N], d[n]: C_n -> C_(n-1).
 
     d[n-1] @ d[n] = 0 is checked once, here, and the product rejects shapes
     or domains that do not match with a ValueError; `name` labels the
     complex in the error.  `homology(n)` reduces the boundaries in degree
-    order, d[0] up to d[n+1], each at most once, and caches the result: its
-    rank over a field, its invariant factors over Z, where the rank is the
-    number of factors.
+    order, d[0] up to d[n+1], each at most once, and caches the rank of
+    each and, over Z, its torsion.  `rank` reduces them over a field; over
+    Z `invariant_factors` reduces d[1] and up, and `rank` d[0], whose
+    torsion would be that of H_-1.
 
     The reduction compresses (Chen and Kerber 2011; Bauer, Kerber and
     Reininghaus 2014): before d[k+1] is reduced, the rows indexed by the
@@ -977,8 +1018,8 @@ class Complex:
         self.domain = d[0].domain
         self.max_degree = len(d) - 1
         self.dims = [m.ncols for m in d]
-        self._reduced = []  # per degree: the rank over a field, the factors over Z
-        self._pivots = []  # pivot columns of the last boundary reduced
+        self._reduced = []  # per degree: (rank, torsion)
+        self._pivots = []  # unit pivot columns of the last boundary reduced
 
     def homology(self, n):
         """ker d[n] / im d[n+1]: a betti number and, over Z, the torsion.
@@ -989,13 +1030,15 @@ class Complex:
         if not (0 <= n < self.max_degree):
             raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
         while len(self._reduced) <= n + 1:
-            result, self._pivots = _reduce(self.d[len(self._reduced)], self._pivots)
-            self._reduced.append(result)
-        low, high = self._reduced[n], self._reduced[n + 1]
-        torsion = ()
-        if self.domain is ZZ:
-            torsion = tuple(f for f in high if f > 1)
-            low, high = len(low), len(high)
+            k = len(self._reduced)
+            m = _Compressed(self.d[k], set(self._pivots))
+            if self.domain is ZZ and k:
+                factors = invariant_factors(m)
+                self._reduced.append((len(factors), tuple(f for f in factors if f > 1)))
+            else:
+                self._reduced.append((rank(m), ()))
+            self._pivots = m.pivots
+        (low, _), (high, torsion) = self._reduced[n], self._reduced[n + 1]
         return HomologyResult(degree=n, betti=self.dims[n] - low - high, torsion=torsion)
 
 

@@ -418,23 +418,29 @@ def test_homology_rejects_bad_composition():
 
 
 def _assert_compression_matches_each_boundary(cx):
-    """The ranks (factors over Z) that `cx` reads off its compressed
-    boundaries equal the per-matrix ones of every boundary."""
+    """The ranks and torsion that `cx` reads off its compressed boundaries
+    equal the per-matrix ones of every boundary (over Z, d[0] gives its
+    rank only)."""
     cx.homology(cx.max_degree - 1)
-    per_matrix = invariant_factors if cx.domain is ZZ else rank
-    assert cx._reduced == [per_matrix(d) for d in cx.d]
+    expected = [(rank(cx.d[0]), ())]
+    for d in cx.d[1:]:
+        factors = invariant_factors(d) if cx.domain is ZZ else []
+        expected.append((rank(d), tuple(f for f in factors if f > 1)))
+    assert cx._reduced == expected
 
 
 def _recorded_drops(monkeypatch):
     """The row sets deleted before each reduction, in call order."""
     drops = []
-    real = linalg_module._reduce
 
-    def recorded(m, drop):
-        drops.append(set(drop))
-        return real(m, drop)
+    class Recorded(linalg_module._Compressed):
+        __slots__ = ()
 
-    monkeypatch.setattr(linalg_module, "_reduce", recorded)
+        def __init__(self, boundary, deleted):
+            drops.append(set(deleted))
+            super().__init__(boundary, deleted)
+
+    monkeypatch.setattr(linalg_module, "_Compressed", Recorded)
     return drops
 
 
@@ -474,6 +480,7 @@ def test_compression_keeps_residual_pivot_rows(monkeypatch):
                   Matrix.from_dense([[3], [-2]], ZZ)])
     assert cx.homology(1) == linalg_module.HomologyResult(degree=1, betti=0, torsion=())
     assert drops == [set(), set(), set()]
+    assert cx._reduced == [(0, ()), (1, ()), (1, ())]
     monkeypatch.undo()
     _assert_compression_matches_each_boundary(cx)
 
