@@ -13,10 +13,10 @@ table of the elements that send x_0 there (one for a free action); the
 basis is enumerated from first points that are orbit minima, and plain
 tuples are never listed.  The plain (non-equivariant) complex of x is the
 complex of `spaces.underlying(x)`, whose only group element is the
-identity, so each of its orbits is one tuple.  Every chain map (boundary,
-pushforward, and the trace's t, front insertion and phi) is built by one
-method: sum a plain image over each source orbit and collect it on the
-target basis, checking that it is constant on orbits.
+identity, so each of its orbits is one tuple.  Every chain map but phi
+(boundary, pushforward, the trace's t and s N) is built by one method,
+`OrbitBasis.matrix`, from one image per orbit.  phi is invariant by a
+property of the trace, so `collect` checks that it is constant on orbits.
 
 XH is computed on the normalized (Moore) complex, `CoarseChainComplex`.
 A tuple with x_i = x_(i+1) is degenerate; the degenerate chains span an
@@ -24,8 +24,8 @@ acyclic subcomplex (Eilenberg-Mac Lane), so the quotient by them has the
 same homology.  Its basis, `MooreBasis`, lists only the orbits of
 nondegenerate tuples, enumerated with each coordinate different from the
 one before, so the tuple cap counts nondegenerate representatives.  Its
-`collect` checks constancy on every orbit of an image and then drops the
-degenerate orbits, which are zero in the quotient.  Faces and
+`matrix` and `collect` drop the degenerate orbits of an image, which are
+zero in the quotient; `collect` checks constancy on them first.  Faces and
 pushforwards are simplicial, so they descend.  The trace alone uses
 `TupleChainComplex`, the same complex on every orbit: the chain-level t
 and front insertion do not descend to the quotient, and phi . B, which is
@@ -39,10 +39,11 @@ computation; either way each boundary is reduced once.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
-from operator import ne
+from operator import and_, ne
 
-from .linalg import ZZ, Complex, InvariantError, Matrix, finished
+from .linalg import ZZ, Complex, InvariantError, Matrix
 from .spaces import is_morphism
 
 DEFAULT_MAX_DEGREE = 4
@@ -124,6 +125,9 @@ class OrbitBasis(list):
         self._rows = tuple(dict.fromkeys(map(tuple, space.action)))
         least = [min(g[x] for g in self._rows) for x in range(space.n)]
         self._lead = [[g for g in self._rows if g[x] == least[x]] for x in range(space.n)]
+        self._stab = [sum(1 << k for k, g in enumerate(self._rows) if g[x] == x)
+                      for x in range(space.n)]  # Stab(x) as a bit mask over the rows
+        self._free = all(s.bit_count() == 1 for s in self._stab)
         for component in space.components():
             for first in component:
                 if least[first] != first:
@@ -148,10 +152,20 @@ class OrbitBasis(list):
 
     def rep(self, tup):
         """The least tuple of tup's orbit."""
-        return min(tuple(map(g.__getitem__, tup)) for g in self._lead[tup[0]])
+        lead = self._lead[tup[0]]
+        if len(lead) == 1:
+            return tuple(map(lead[0].__getitem__, tup))
+        return min(tuple(map(g.__getitem__, tup)) for g in lead)
 
     def orbit(self, tup):
         return _orbit(self._rows, tup)
+
+    def orbit_size(self, tup):
+        """|G.tup|: the distinct action rows over those that fix every
+        coordinate of tup."""
+        if self._free:
+            return len(self._rows)
+        return len(self._rows) // reduce(and_, map(self._stab.__getitem__, tup)).bit_count()
 
     def collect(self, plain, domain):
         """Rewrite an invariant plain chain in orbit-sum coordinates.
@@ -175,18 +189,42 @@ class OrbitBasis(list):
         return col
 
     def matrix(self, target, image, domain):
-        """The map sending each orbit sum to the sum of `image` over its members.
+        """The map sending each orbit sum e_r to the sum of `image` over its
+        members, from one call `image(r)` per representative r.
 
-        `image(member)` gives plain coefficients, summed with + and then
-        `finished`; each column is collected on the target basis.
+        `image` must be equivariant, F(g x) = g F(x), with plain
+        coefficients.  Each term (y, v) of F(r) adds v |G.r| / |G.y| at the
+        representative of y's orbit, unless `target._kept` says the orbit
+        is zero in the quotient.  A weight that is not an integer raises
+        `InvariantError`.
+
+        Proof.  The coefficient of y in F(e_r) is the sum over g in G of
+        F(g r)[y] / |Stab r|, and F(g r)[y] = F(r)[g^-1 y].  As g runs over
+        G, g^-1 y runs over G.y, |Stab y| times each, so the coefficient is
+        |Stab y| / |Stab r| times the sum of F(r) over G.y; F(e_r) is
+        invariant, so this is its coordinate on e_y.  If y is made of
+        images of r's coordinates under an equivariant point map (a face, a
+        rotation, s N, a pushforward), then Stab r <= Stab y (the
+        stabilizer of a tuple is the intersection of its points'), and the
+        weight |Stab y| / |Stab r| = |G.r| / |G.y| is the index
+        [Stab y : Stab r], an integer, 1 on a free action.
         """
+        index, rep, kept, size = target.index, target.rep, target._kept, target.orbit_size
         cols = []
-        for rep in self:
-            plain = {}
-            for member in self.orbit(rep):
-                for tup, val in image(member).items():
-                    plain[tup] = plain.get(tup, 0) + val
-            cols.append(target.collect(finished(plain, domain), domain))
+        for r in self:
+            whole = self.orbit_size(r)
+            col = {}
+            for y, v in image(r).items():
+                i = index.get(rep(y))
+                if i is None:
+                    if kept(y):
+                        raise InvariantError("an image orbit is a target basis orbit", len(y) - 1)
+                    continue
+                w, rest = divmod(whole, size(y))
+                if rest:
+                    raise InvariantError("an image orbit divides its source orbit", len(y) - 1)
+                col[i] = col.get(i, 0) + w * v
+            cols.append(col)
         return Matrix.from_columns(cols, len(target), domain)
 
 
@@ -195,8 +233,9 @@ class MooreBasis(OrbitBasis):
 
     Degenerate tuples span a subcomplex with zero homology, so the quotient
     (the Moore complex) has the homology of the full complex.  Only
-    nondegenerate tuples are enumerated, so the cap counts them; `collect`
-    drops the degenerate orbits of an image, which are zero in the quotient.
+    nondegenerate tuples are enumerated, so the cap counts them; `matrix`
+    and `collect` drop the degenerate orbits of an image, which are zero in
+    the quotient.
     """
 
     @staticmethod
@@ -328,6 +367,8 @@ def pushforward_matrix(src, tgt, f, n):
 
     A simplicial map sends degenerate tuples to degenerate tuples, so f_*
     descends to the Moore complexes; both complexes must be of one kind.
+    f must be a morphism, which makes the image equivariant as
+    `OrbitBasis.matrix` needs.
     """
     if src.space is not f.source or tgt.space is not f.target:
         raise ValueError("map endpoints do not match the complexes' spaces")

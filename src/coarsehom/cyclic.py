@@ -345,13 +345,22 @@ def _normalized_b(basis, target):
 def _s_norm(basis, target):
     """s N, the extra degeneracy after the cyclic norm N = 1 + t + ... + t^n:
     the identity in front of each signed rotation t^i = (-1)^(ni) x rotation^i.
-    B is (1 - t) s N on the full nerve and s N on the normalized one."""
+    B is (1 - t) s N on the full nerve and s N on the normalized one.
+
+    Every factor of a key is a factor j >= 1 of each term, between the
+    same objects, so when the i = 0 term is degenerate in `target` every
+    term is, and the key's column is empty."""
     n = basis.degree
     unit = basis.data.unit_index
+    index = target.index
 
     def image(key):
         o, m = key
-        for i in range(n + 1):
+        first = ((o[0],) + o, (unit[o[0]],) + m)
+        if first not in index and target.degenerate(first):
+            return
+        yield first, 1
+        for i in range(1, n + 1):
             cut = n + 1 - i
             o2 = o[cut:] + o[:cut]
             yield ((o2[0],) + o2, (unit[o2[0]],) + m[cut:] + m[:cut]), -1 if n * i % 2 else 1

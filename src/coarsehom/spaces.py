@@ -167,12 +167,6 @@ def close_coarse_structure(generators, n, action):
     return [find(x) for x in range(n)]
 
 
-def closure_pairs(generators, n, action):
-    """The closed maximal entourage as a frozenset of ordered pairs."""
-    comp_of = close_coarse_structure(generators, n, action)
-    return frozenset((x, y) for x in range(n) for y in range(n) if comp_of[x] == comp_of[y])
-
-
 def _split_component(source, target, assignment):
     """The first source component whose image meets two target components,
     as (its least point x, its first point y mapped apart from x); None if

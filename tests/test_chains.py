@@ -12,7 +12,9 @@ from coarsehom.chains import (
     ControlledChain,
     CoarseChainComplex,
     MooreBasis,
+    OrbitBasis,
     TupleChainComplex,
+    _boundary_of_tuple,
     basis_chain,
     boundary_of_chain,
     chain_pushforward,
@@ -27,9 +29,10 @@ from coarsehom.groups import (
     trivial_group,
 )
 from coarsehom.homology import ordinary_profile
-from coarsehom.linalg import GF, QQ, ZZ, Complex, InvariantError, Matrix
+from coarsehom.linalg import GF, QQ, ZZ, Complex, InvariantError, Matrix, finished
 from coarsehom.spaces import (GBornCoarseSpace, SpaceMap, coset_space, g_can_min, point_space,
                               underlying)
+from coarsehom.trace import _xc_s_norm
 
 
 def single_component(k):
@@ -485,3 +488,143 @@ def test_cap_bounds_the_representatives(monkeypatch):
         with pytest.raises(ValueError, match="more than 215"):
             TupleChainComplex(s3, max_degree=3, domain=ZZ)
     assert built == []
+
+
+# -- OrbitBasis.matrix against the orbit-summed construction ----------------
+
+
+def orbit_summed_matrix(basis, target, image, domain):
+    """The reference: sum `image` over every member of each source orbit,
+    then `collect` the plain sum on the target basis, which checks that it
+    is constant on orbits before it drops the orbits outside the basis."""
+    cols = []
+    for rep in basis:
+        plain = {}
+        for member in basis.orbit(rep):
+            for tup, val in image(member).items():
+                plain[tup] = plain.get(tup, 0) + val
+        cols.append(target.collect(finished(plain, domain), domain))
+    return Matrix.from_columns(cols, len(target), domain)
+
+
+def _s3_mod(sub):
+    s3 = named_group("s3")
+    return coset_space(s3, named_subgroup(s3, sub))
+
+
+def _to_cosets(group, sub, target):
+    """g -> gH from g_can_min(group) onto `target`, a space on group/sub."""
+    cosets = group.left_cosets(named_subgroup(group, sub))
+    return SpaceMap(g_can_min(group), target,
+                    [next(i for i, c in enumerate(cosets) if g in c) for g in range(len(group))])
+
+
+def _oracle_spaces():
+    """Free and non-free spaces: a stabilizer that is a whole group, a
+    proper one, a trivial action of a nontrivial group, and random draws."""
+    rng = random.Random(5)
+    return ([point_space(named_group("s3")), _s3_mod("z3"), _s3_mod("z2"),
+             _joined(_s3_mod("z3")), _joined(_s3_mod("z2")), g_can_min(cyclic_group(4)),
+             g_can_min(symmetric_group(3)), underlying(g_can_min(cyclic_group(3))),
+             BRUTE_FORCE_SPACES[4]()]
+            + [random_space(rng) for _ in range(4)])
+
+
+def _oracle_maps():
+    """Equivariant maps onto non-free targets, identities and collapses."""
+    s3 = named_group("s3")
+    maps = [_to_cosets(s3, sub, _joined(_s3_mod(sub))) for sub in ("z3", "z2")]
+    maps.append(SpaceMap(g_can_min(s3), point_space(s3), [0] * 6))
+    maps.append(SpaceMap(_joined(_s3_mod("z2")), point_space(s3), [0] * 3))
+    swap = BRUTE_FORCE_SPACES[4]()
+    maps.append(SpaceMap(swap, point_space(swap.group), [0] * 3))
+    maps.append(SpaceMap.identity(_joined(_s3_mod("z2"))))
+    return maps
+
+
+ORACLE_DOMAINS = [ZZ, QQ, GF(2), GF(3)]
+ORACLE_IDS = ["Z", "Q", "F2", "F3"]
+
+
+def _assert_matches_oracle(basis, target, image, domain):
+    fast = basis.matrix(target, image, domain)
+    assert fast == orbit_summed_matrix(basis, target, image, domain)
+    return fast
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=ORACLE_IDS)
+def test_matrix_matches_the_orbit_summed_boundary_and_cyclic_maps(domain):
+    nonzero = 0
+    for space in _oracle_spaces():
+        for kind in (OrbitBasis, MooreBasis):
+            bases = [controlled_tuple_basis(space, n, kind) for n in range(5)]
+            for n in range(1, 5):
+                nonzero += not _assert_matches_oracle(
+                    bases[n], bases[n - 1], _boundary_of_tuple, domain).is_zero()
+        full = [controlled_tuple_basis(space, n) for n in range(4)]
+        for n in range(4):
+            sign = -1 if n % 2 else 1
+            _assert_matches_oracle(full[n], full[n], lambda t: {(t[-1],) + t[:-1]: sign}, domain)
+        for n in range(3):
+            _assert_matches_oracle(full[n], full[n + 1], _xc_s_norm, domain)
+            _assert_matches_oracle(full[n], full[n + 1], lambda t: {(t[-1],) + t: 1}, domain)
+    assert nonzero
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=ORACLE_IDS)
+def test_matrix_matches_the_orbit_summed_pushforwards(domain):
+    for f in _oracle_maps():
+        for kind in (CoarseChainComplex, TupleChainComplex):
+            src, tgt = kind(f.source, 3, domain), kind(f.target, 3, domain)
+            for n in range(4):
+                one = domain.one
+                reference = orbit_summed_matrix(src.bases[n], tgt.bases[n],
+                                                lambda t: {tuple(map(f, t)): one}, domain)
+                assert pushforward_matrix(src, tgt, f, n) == reference
+
+
+def test_matrix_weights_each_image_by_the_orbit_size_ratio():
+    # the 6-element orbit of a point of g_can_min(s3) lands on the 2-point
+    # orbit of s3/z3: each point of the target is hit three times
+    s3 = named_group("s3")
+    f = _to_cosets(s3, "z3", _joined(_s3_mod("z3")))
+    src, tgt = CoarseChainComplex(f.source, 1, ZZ), CoarseChainComplex(f.target, 1, ZZ)
+    assert pushforward_matrix(src, tgt, f, 0).to_dense() == [[3]]
+    # (e, g) lands on a degenerate tuple for the two g != e in z3
+    (row,) = pushforward_matrix(src, tgt, f, 1).to_dense()
+    assert sorted(row) == [0, 0, 3, 3, 3]
+
+
+def test_matrix_calls_the_image_once_per_representative():
+    s3 = g_can_min(symmetric_group(3))
+    for kind in (OrbitBasis, MooreBasis):
+        basis, prev = (controlled_tuple_basis(s3, n, kind) for n in (3, 2))
+        calls = []
+
+        def image(tup):
+            calls.append(tup)
+            return _boundary_of_tuple(tup)
+
+        basis.matrix(prev, image, ZZ)
+        assert calls == list(basis)
+
+
+def test_matrix_rejects_a_fractional_weight_and_a_tuple_outside_the_target():
+    z2 = cyclic_group(2)
+    pt, x = (controlled_tuple_basis(sp, 0) for sp in (point_space(z2), g_can_min(z2)))
+    # the fixed point's orbit has one member and (0,)'s two: weight 1/2
+    with pytest.raises(InvariantError, match="divides its source orbit fails in degree 0"):
+        pt.matrix(x, lambda t: {(0,): 1}, QQ)
+    # p and q are swapped and lie in no component with r: (p, r) is not controlled
+    swap = BRUTE_FORCE_SPACES[3]()
+    with pytest.raises(InvariantError, match="target basis orbit fails in degree 1"):
+        controlled_tuple_basis(swap, 0).matrix(controlled_tuple_basis(swap, 1),
+                                               lambda t: {(t[0], 2): 1}, QQ)
+
+
+def test_pushforward_matrix_needs_an_equivariant_map():
+    x = g_can_min(cyclic_group(2))
+    f = SpaceMap(x, x, [0, 0])  # controlled, since x is one component
+    src, tgt = CoarseChainComplex(x, 1, ZZ), CoarseChainComplex(x, 1, ZZ)
+    with pytest.raises(ValueError, match="not equivariant"):
+        pushforward_matrix(src, tgt, f, 0)

@@ -231,6 +231,7 @@ GOLDEN_RUNS = {
     "z2-axioms-b6-seed3-d3": "@gcanmin:z2 --theory axioms --budget 6 --seed 3 --max-degree 3",
     "s3-axioms-b10-seed0-d3": "@gcanmin:s3 --theory axioms --budget 10 --seed 0 --max-degree 3",
     "z4-ordinary-z-d6": "@gcanmin:z4 --theory ordinary --coeff Z --max-degree 6",
+    "s3-ordinary-z-d5": "@gcanmin:s3 --theory ordinary --coeff Z --max-degree 5",
 }
 
 

@@ -634,6 +634,23 @@ def test_a_failed_unit_law_is_a_named_internal_error(monkeypatch):
         nerve_profiles(gen.space, 2, QQ, [gen])
 
 
+def test_s_norm_tests_one_term_of_a_key_with_an_identity_in_front(monkeypatch):
+    # factor 0 of a key is a factor j >= 1 of every term of s N, so an
+    # identity there makes the whole column zero on the normalized nerve
+    data = cyclic_module._NerveData(orbit_objects(g_can_min(cyclic_group(3)), QQ))
+    basis, up = (NormalizedNerveBasis(data, n) for n in (2, 3))
+    tested = []
+    real = NormalizedNerveBasis.degenerate
+    monkeypatch.setattr(NormalizedNerveBasis, "degenerate",
+                        lambda self, key: tested.append(key) or real(self, key))
+    s_norm = cyclic_module._s_norm(basis, up)
+    unit = data.unit_index
+    front = [j for j, (o, m) in enumerate(basis) if m[0] == unit[o[0]] and o[1] == o[0]]
+    assert front and len(tested) == len(front)
+    assert all(not s_norm.column(j) for j in front)
+    assert all(s_norm.column(j) for j in range(len(basis)) if j not in front)
+
+
 def test_normalized_matrix_drops_only_degenerate_keys():
     objects = orbit_objects(g_can_min(cyclic_group(3)), QQ)
     data = cyclic_module._NerveData(objects)

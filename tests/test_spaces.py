@@ -8,7 +8,6 @@ from coarsehom.spaces import (
     SpaceMap,
     are_close,
     close_coarse_structure,
-    closure_pairs,
     coset_space,
     empty_space,
     g_can_min,
@@ -40,6 +39,12 @@ def test_closure_examples():
     # G-translates are folded in: swapping action merges the swapped pair's orbit
     z2 = [[0, 1, 2, 3], [1, 0, 3, 2]]
     assert close_coarse_structure([(0, 2)], 4, z2) == [0, 1, 0, 1]
+
+
+def closure_pairs(generators, n, action):
+    """The closed maximal entourage as a frozenset of ordered pairs."""
+    comp_of = close_coarse_structure(generators, n, action)
+    return frozenset((x, y) for x in range(n) for y in range(n) if comp_of[x] == comp_of[y])
 
 
 def test_closure_idempotent_monotone():

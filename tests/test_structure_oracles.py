@@ -15,7 +15,7 @@ from coarsehom.axioms import (BUDGET_END_CAP, BUDGET_NERVE_CAP, _GROUPS, _free_s
 from coarsehom.controlled import HomSpace, orbit_objects
 from coarsehom.groups import cyclic_group, named_group, named_subgroup, trivial_group
 from coarsehom.linalg import QQ
-from coarsehom.spaces import (SpaceMap, closure_pairs, coset_space, g_can_min,
+from coarsehom.spaces import (SpaceMap, close_coarse_structure, coset_space, g_can_min,
                               is_coarse_equivalence, is_complementary_pair, is_morphism,
                               point_space, thickening)
 
@@ -82,7 +82,9 @@ def complementary_by_thickening(x, z, ys):
     if not ys or any(not a <= b for a, b in zip(ys, ys[1:])):
         return False
     top = ys[-1]
-    if not thickening(closure_pairs(x.entourage_generators, x.n, x.action), top) <= top:
+    comp_of = close_coarse_structure(x.entourage_generators, x.n, x.action)
+    closure = {(a, b) for a in range(x.n) for b in range(x.n) if comp_of[a] == comp_of[b]}
+    if not thickening(closure, top) <= top:
         return False
     return set(z) | top == set(range(x.n))
 
