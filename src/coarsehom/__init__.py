@@ -35,15 +35,11 @@ from .controlled import (
     FiniteAlgebra,
     HomSpace,
     compose,
-    direct_sum,
     endomorphism_algebra,
     generator,
-    hom_basis,
     identity_morphism,
-    is_invertible,
     orbit_objects,
     orbit_regular_object,
-    pushforward,
     require_nerve_admissible,
 )
 from .cyclic import (

@@ -50,7 +50,7 @@ class _BarComplex:
         self.field = field
         self.dims = [self.g ** (n + 1) for n in range(max_degree + 1)]
         self._b = Complex(
-            [Matrix.zeros(0, self.dims[0], field)]
+            [Matrix(0, self.dims[0], field)]
             + [self._boundary(n) for n in range(1, max_degree + 1)],
             "bar complex",
         )
@@ -65,7 +65,7 @@ class _BarComplex:
 
     def _boundary(self, n):
         f = self.field
-        m = Matrix.zeros(self.dims[n - 1], self.dims[n], f)
+        m = Matrix(self.dims[n - 1], self.dims[n], f)
         for col, tup in enumerate(product(range(self.g), repeat=n + 1)):
             sign = f.one
             for i in range(n):
@@ -79,7 +79,7 @@ class _BarComplex:
     def _cyclic(self, n):
         f = self.field
         sign = f.one if n % 2 == 0 else -1
-        m = Matrix.zeros(self.dims[n], self.dims[n], f)
+        m = Matrix(self.dims[n], self.dims[n], f)
         for col, tup in enumerate(product(range(self.g), repeat=n + 1)):
             m.add_at(self._index((tup[-1],) + tup[:-1]), col, sign)
         return m
@@ -92,7 +92,7 @@ class _BarComplex:
         for _ in range(n):
             power = power @ t
             norm = norm + power
-        front = Matrix.zeros(self.dims[n + 1], self.dims[n], f)
+        front = Matrix(self.dims[n + 1], self.dims[n], f)
         for col, tup in enumerate(product(range(self.g), repeat=n + 1)):
             front.add_at(self._index((self.unit,) + tup), col, f.one)
         t_up = self._cyclic(n + 1)
@@ -106,9 +106,9 @@ class _BarComplex:
         tot_dims = []
         for n in range(self.max_degree + 1):
             tot_dims.append(sum(self.dims[n - 2 * j] for j in range((n // 2) + 1)))
-        out = [Matrix.zeros(0, tot_dims[0], f)]
+        out = [Matrix(0, tot_dims[0], f)]
         for n in range(1, self.max_degree + 1):
-            m = Matrix.zeros(tot_dims[n - 1], tot_dims[n], f)
+            m = Matrix(tot_dims[n - 1], tot_dims[n], f)
             col_off = 0
             for j in range((n // 2) + 1):
                 deg = n - 2 * j

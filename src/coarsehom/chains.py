@@ -196,7 +196,8 @@ class OrbitBasis(list):
         coefficients.  Each term (y, v) of F(r) adds v |G.r| / |G.y| at the
         representative of y's orbit, unless `target._kept` says the orbit
         is zero in the quotient.  A weight that is not an integer raises
-        `InvariantError`.
+        `InvariantError`.  `Matrix.from_columns` finishes each column as it
+        is made, so no list of raw columns is held.
 
         Proof.  The coefficient of y in F(e_r) is the sum over g in G of
         F(g r)[y] / |Stab r|, and F(g r)[y] = F(r)[g^-1 y].  As g runs over
@@ -210,22 +211,26 @@ class OrbitBasis(list):
         [Stab y : Stab r], an integer, 1 on a free action.
         """
         index, rep, kept, size = target.index, target.rep, target._kept, target.orbit_size
-        cols = []
-        for r in self:
-            whole = self.orbit_size(r)
-            col = {}
-            for y, v in image(r).items():
-                i = index.get(rep(y))
-                if i is None:
-                    if kept(y):
-                        raise InvariantError("an image orbit is a target basis orbit", len(y) - 1)
-                    continue
-                w, rest = divmod(whole, size(y))
-                if rest:
-                    raise InvariantError("an image orbit divides its source orbit", len(y) - 1)
-                col[i] = col.get(i, 0) + w * v
-            cols.append(col)
-        return Matrix.from_columns(cols, len(target), domain)
+
+        def columns():
+            for r in self:
+                whole = self.orbit_size(r)
+                col = {}
+                for y, v in image(r).items():
+                    i = index.get(rep(y))
+                    if i is None:
+                        if kept(y):
+                            raise InvariantError("an image orbit is a target basis orbit",
+                                                 len(y) - 1)
+                        continue
+                    w, rest = divmod(whole, size(y))
+                    if rest:
+                        raise InvariantError("an image orbit divides its source orbit",
+                                             len(y) - 1)
+                    col[i] = col.get(i, 0) + w * v
+                yield col
+
+        return Matrix.from_columns(columns(), len(target), domain)
 
 
 class MooreBasis(OrbitBasis):

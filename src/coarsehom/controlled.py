@@ -12,7 +12,7 @@ are sparse exact matrices from the linalg module.
 
 from __future__ import annotations
 
-from .linalg import Matrix, finished, kernel_data, rank
+from .linalg import Matrix, finished, kernel_data
 from .spaces import is_morphism
 
 
@@ -115,22 +115,6 @@ def generator(space, domain):
 
 def orbit_objects(space, domain):
     return [orbit_regular_object(space, orb, domain) for orb in space.orbits()]
-
-
-def direct_sum(a, b):
-    if a.space is not b.space or a.domain is not b.domain:
-        raise ValueError("direct sum needs a common space and domain")
-    dims = [da + db for da, db in zip(a.dims, b.dims)]
-    rho = []
-    for g in range(len(a.space.group)):
-        ginv = a.space.group.inv(g)
-        row = []
-        for x in range(a.space.n):
-            tx = a.space.act(ginv, x)
-            row.append(Matrix.block([[a.rho_block(g, x), None], [None, b.rho_block(g, x)]],
-                                    a.domain))
-        rho.append(row)
-    return ControlledObject(a.space, dims, rho, a.domain, check=False)
 
 
 class ControlledMorphism:
@@ -363,11 +347,6 @@ class HomSpace:
         return coords
 
 
-def hom_basis(m, mp):
-    """Deterministic basis of Hom(m, mp) as a list of morphisms."""
-    return HomSpace(m, mp).basis
-
-
 class FiniteAlgebra:
     """Structure constants of End(P) in a fixed basis, with unit coordinates.
 
@@ -478,53 +457,6 @@ def pushforward_morphism(f, a, pushed_source=None, pushed_target=None):
         for i, j, v in mat.entries():
             blk.set(r0 + i, c0 + j, v)
     return ControlledMorphism(src, tgt, blocks, check=False)
-
-
-def pushforward(f, a, **kw):
-    """Functorial image along a space morphism (object or morphism input)."""
-    if isinstance(a, ControlledObject):
-        return pushforward_object(f, a)
-    if isinstance(a, ControlledMorphism):
-        return pushforward_morphism(f, a, **kw)
-    raise TypeError("pushforward expects a controlled object or morphism")
-
-
-def close_maps_isomorphism(f, g, m):
-    """The transport isomorphism f_*m -> g_*m for close maps f and g.
-
-    Each source summand M(x) sits once in (f_*m)(f x) and once in
-    (g_*m)(g x); matching them by the identity gives a controlled morphism
-    because (g x, f x) stays inside u_star when f and g are close, and it is
-    invertible because it permutes summands.
-    """
-    src = pushforward_object(f, m)
-    tgt = pushforward_object(g, m)
-    _, off_f = pushforward_layout(f, m)
-    _, off_g = pushforward_layout(g, m)
-    blocks = {}
-    for x in range(f.source.n):
-        if not m.dims[x]:
-            continue
-        y_f, y_g = f(x), g(x)
-        blk = blocks.get((y_f, y_g))
-        if blk is None:
-            blk = Matrix(tgt.dims[y_g], src.dims[y_f], m.domain)
-            blocks[(y_f, y_g)] = blk
-        r0 = off_g[y_g][x]
-        c0 = off_f[y_f][x]
-        for i in range(m.dims[x]):
-            blk.set(r0 + i, c0 + i, m.domain.one)
-    return ControlledMorphism(src, tgt, blocks, check=False)
-
-
-def is_invertible(a):
-    """Invertibility of a controlled morphism via the full matrix rank."""
-    if a.source.total_dim != a.target.total_dim:
-        return False
-    # the diagonal blocks, zero or not, fix every block height and width
-    points = range(a.source.space.n)
-    grid = [[a.block(x, y) if x == y else a.blocks.get((x, y)) for x in points] for y in points]
-    return rank(Matrix.block(grid, a.source.domain)) == a.source.total_dim
 
 
 def require_nerve_admissible(space, domain):

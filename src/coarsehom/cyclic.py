@@ -38,12 +38,13 @@ Sign conventions (pinned by the identity suite below, on the full nerve):
     B    = (1 - t) . s N,
            one key map `_s_norm` for both nerves (the trace's chains code
            the same formula on tuples, independently).
-On the normalized nerve b is the same sum and B = s N.  The b-complex and
-the total complex are `linalg.Complex` values, so b^2 = 0 and d^2 = 0 are
-checked once each, where they are built; `MixedComplex` adds B^2 = 0 and
-bB + Bb = 0, on either nerve.  A failed identity raises `InvariantError`
-with a convention diagnostic.  HH is the homology of the b-complex and HC
-that of its `TotComplex`.
+On the normalized nerve b is the same sum and B = s N.  The b-complex is
+a `linalg.Complex`, so b^2 = 0 is checked once, where it is built;
+`MixedComplex` adds B^2 = 0 and bB + Bb = 0, on either nerve.  Together
+they imply d^2 = 0 of the total complex, which `TotComplex` does not
+check again.  A failed identity raises `InvariantError` with a convention
+diagnostic.  HH is the homology of the b-complex and HC that of its
+`TotComplex`.
 """
 
 from __future__ import annotations
@@ -240,21 +241,24 @@ class NerveBasis(list):
     def matrix(self, target, image, domain):
         """The operator sending each key to the sum of `image(key)`, an iterable
         of (target key, value) pairs; `Matrix.from_columns` finishes each
-        column in `domain`.  A target key outside `target` must be degenerate
-        there, and is dropped."""
+        column in `domain` as it is made, so no list of raw columns is held.
+        A target key outside `target` must be degenerate there, and is
+        dropped."""
         index = target.index
-        cols = []
-        for key in self:
-            col = {}
-            for k, v in image(key):
-                i = index.get(k)
-                if i is not None:
-                    col[i] = col.get(i, 0) + v
-                elif not target.degenerate(k):
-                    raise InvariantError(f"image key {k} lies in the nerve basis",
-                                         target.degree)
-            cols.append(col)
-        return Matrix.from_columns(cols, len(target), domain)
+
+        def columns():
+            for key in self:
+                col = {}
+                for k, v in image(key):
+                    i = index.get(k)
+                    if i is not None:
+                        col[i] = col.get(i, 0) + v
+                    elif not target.degenerate(k):
+                        raise InvariantError(f"image key {k} lies in the nerve basis",
+                                             target.degree)
+                yield col
+
+        return Matrix.from_columns(columns(), len(target), domain)
 
 
 class NormalizedNerveBasis(NerveBasis):
@@ -535,15 +539,19 @@ class TotComplex(Complex):
 
     It is `linalg.total_boundaries` with step 2 on columns of b joined
     by B: block j of Tot_n is C_(n-2j), b maps it to block j of Tot_(n-1)
-    and B to block j - 1.  The blocks of d_(n-1) d_n are b^2, bB + Bb and
-    B^2, so the identities already checked imply d^2 = 0 in every degree
-    built here; the check `Complex` makes anyway only guards the layout.
+    and B to block j - 1.  It is the one `Complex` built without the
+    d^2 = 0 check, which the identities of `mixed` imply.
+
+    Proof.  Block j of Tot_n reaches Tot_(n-2) by b b in
+    block j, by b B + B b in block j - 1 and by B B in block j - 2.  Every
+    factor is a matrix of `mixed` in degrees <= N, where the b-complex has
+    checked b^2 = 0 and `MixedComplex` B^2 = 0 and bB + Bb = 0, so each
+    block of d_(n-1) d_n is zero.
     """
 
     def __init__(self, mixed):
         N = mixed.max_degree
         big_b = [mixed.B(n) for n in range(N)]
-        d = total_boundaries([mixed.b_complex.d] * (N // 2 + 1), [big_b] * (N // 2), 2, N,
-                             mixed.domain)
-        super().__init__(d, "total complex")
+        self._set_up(total_boundaries([mixed.b_complex.d] * (N // 2 + 1), [big_b] * (N // 2),
+                                      2, N, mixed.domain))
 

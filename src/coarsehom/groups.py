@@ -54,10 +54,6 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def order(self):
-        return len(self.elements)
-
     def mul(self, g, h):
         return self.table[g][h]
 

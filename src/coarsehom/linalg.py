@@ -49,13 +49,15 @@ complex, or of an iterated mapping cone) by `total_boundaries` alone.
 content normalization so entries stay small; its reduced echelon form is
 unique, which keeps every downstream basis reproducible bit for bit.
 
-`Complex` is the one chain-complex value: it checks d^2 = 0 once, when it
-is built (the package's only such check), and its `homology` reduces each
-boundary at most once, in degree order, compressed (the compression step
-of persistent homology: Chen and Kerber 2011; Bauer, Kerber and
-Reininghaus 2014).  Before d[k+1] is reduced, the rows indexed by the
-engine's unit pivot columns Q of d[k] are deleted from it.  Those columns
-are independent, so ker d[k] projects injectively away from Q, and im d[k+1]
+`Complex` is the one chain-complex value.  It checks d^2 = 0 once, when
+it is built (the package's only such check); the one complex built
+without it is `cyclic.TotComplex`, whose blocks of d^2 are b^2, bB + Bb
+and B^2, all checked before.  Its `homology` reduces each boundary at
+most once, in degree order, compressed (the compression step of
+persistent homology: Chen and Kerber 2011; Bauer, Kerber and Reininghaus
+2014).  Before d[k+1] is reduced, the rows indexed by the engine's unit
+pivot columns Q of d[k] are deleted from it.  Those columns are
+independent, so ker d[k] projects injectively away from Q, and im d[k+1]
 lies in ker d[k]: the rank of d[k+1] is kept.  Over Z the pivot block is
 unimodular, so the projected kernel stays saturated and the invariant
 factors are kept too; the residual's pivots are never in Q.  Deleting rows
@@ -224,10 +226,6 @@ class Matrix:
         self._cols = {}
 
     @classmethod
-    def zeros(cls, nrows, ncols, domain):
-        return cls(nrows, ncols, domain)
-
-    @classmethod
     def identity(cls, n, domain):
         m = cls(n, n, domain)
         for i in range(n):
@@ -249,17 +247,20 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, nrows, domain):
-        """Build from a list of sparse columns ({row: value}).
+        """Build from an iterable of sparse columns ({row: value}); the
+        matrix has as many columns as it yields, so a generator is read
+        once and no list of raw columns is held.
 
         Each column is finished in one pass, with no per-entry `set`: a row
         outside range(nrows) raises IndexError, an int is reduced mod p over
         F_p, any other value goes through `domain.coerce` (so an inexact one
         raises TypeError), and zeros are dropped.
         """
-        m = cls(nrows, len(columns), domain)
+        m = cls(nrows, 0, domain)
         p = domain.char
         coerce = domain.coerce
         cols = m._cols
+        j = -1
         for j, col in enumerate(columns):
             out = {}
             for i, v in col.items():
@@ -273,6 +274,7 @@ class Matrix:
                     out[i] = v
             if out:
                 cols[j] = out
+        m.ncols = j + 1
         return m
 
     @classmethod
@@ -512,12 +514,6 @@ class HomologyResult:
     def __post_init__(self):
         if self.betti < 0:
             raise ValueError("negative betti number")
-
-    def describe(self):
-        parts = [f"betti {self.betti}"]
-        if self.torsion:
-            parts.append("torsion " + " + ".join(f"Z/{t}" for t in self.torsion))
-        return f"H_{self.degree}: " + ", ".join(parts)
 
 
 def _row_dicts(matrix):
@@ -982,7 +978,9 @@ class Complex:
 
     d[n-1] @ d[n] = 0 is checked once, here, and the product rejects shapes
     or domains that do not match with a ValueError; `name` labels the
-    complex in the error.  `homology(n)` reduces the boundaries in degree
+    complex in the error.  The one complex built without the check is
+    `cyclic.TotComplex`, whose d^2 = 0 the identities of its mixed complex
+    already imply (the proof is there).  `homology(n)` reduces the boundaries in degree
     order, d[0] up to d[n+1], each at most once, and caches the rank of
     each and, over Z, its torsion.  `rank` reduces them over a field; over
     Z `invariant_factors` reduces d[1] and up, and `rank` d[0], whose
@@ -1014,6 +1012,10 @@ class Complex:
         for n in range(1, len(d)):
             if not (d[n - 1] @ d[n]).is_zero():
                 raise InvariantError(f"d^2 = 0 of the {name}", n)
+        self._set_up(d)
+
+    def _set_up(self, d):
+        """The fields of a complex on boundaries d, with no d^2 = 0 check."""
         self.d = list(d)
         self.domain = d[0].domain
         self.max_degree = len(d) - 1

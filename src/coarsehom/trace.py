@@ -141,10 +141,8 @@ class TraceContext:
             raise ValueError(f"phi undefined in degree {n}")
         if self._phi_cols[n] is None:
             basis = self.chains.bases[n]
-            keys = self.nerve.basis[n]
-            cols = [None] * len(keys)
-            for key, plain in self._phi_walk(n, keys):
-                cols[keys.index[key]] = basis.collect(plain, self.domain)
+            cols = (basis.collect(plain, self.domain)
+                    for _, plain in self._phi_walk(n, self.nerve.basis[n]))
             self._phi_cols[n] = Matrix.from_columns(cols, len(basis), self.domain)
         return self._phi_cols[n]
 

@@ -1,6 +1,18 @@
 import pytest
 
+from coarsehom.controlled import ControlledObject
 from coarsehom.cyclic import MixedComplex, normalized_mixed_complex, to_mixed
+from coarsehom.linalg import Matrix
+
+
+def direct_sum(a, b):
+    """a + b over their common space: fibers a(x) + b(x), rho block diagonal."""
+    if a.space is not b.space or a.domain is not b.domain:
+        raise ValueError("direct sum needs a common space and domain")
+    dims = [da + db for da, db in zip(a.dims, b.dims)]
+    rho = [[Matrix.block([[a.rho_block(g, x), None], [None, b.rho_block(g, x)]], a.domain)
+            for x in range(a.space.n)] for g in range(len(a.space.group))]
+    return ControlledObject(a.space, dims, rho, a.domain, check=False)
 
 
 def _sign_flipped(good):

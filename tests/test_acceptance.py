@@ -267,7 +267,7 @@ def _cone_homotopy(cx, n):
 
     On the Moore complex (0, 0, ...) is degenerate, so H is zero there."""
     rows, cols = cx.bases[n + 1], cx.bases[n]
-    m = Matrix.zeros(len(rows), len(cols), ZZ)
+    m = Matrix(len(rows), len(cols), ZZ)
     for j, tup in enumerate(cols):
         if cx.basis_kind is not MooreBasis or tup[0] != 0:
             m.set(rows.index[(0,) + tup], j, 1)

@@ -135,7 +135,7 @@ def test_complex_builder_checks_d_squared():
         cx.homology(3)
     one = Matrix.from_dense([[1]], ZZ)
     with pytest.raises(InvariantError, match="d\\^2 = 0 of the test complex fails in degree 2") as err:
-        Complex([Matrix.zeros(0, 1, ZZ), one, one], "test complex")
+        Complex([Matrix(0, 1, ZZ), one, one], "test complex")
     assert err.value.degree == 2
 
 

@@ -35,7 +35,7 @@ from coarsehom.cyclic import (
     to_mixed,
 )
 from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
-from coarsehom.homology import nerve_profiles, ordinary_profile, space_mixed_complex
+from coarsehom.homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
 from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
 from coarsehom.trace import TraceContext, xc_connes_operator, xc_cyclic_operator
@@ -97,6 +97,24 @@ def test_tot_of_one_dimensional_mixed_complex():
     mix = to_mixed(generator_nerve(point_space(), 4))
     tot = TotComplex(mix)
     assert tot.dims == [1, 1, 2, 2, 3]
+
+
+def _assert_squares_to_zero(cx):
+    for n in range(1, len(cx.d)):
+        assert (cx.d[n - 1] @ cx.d[n]).is_zero(), n
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_tot_squares_to_zero_on_s3(domain):
+    # TotComplex does not check d^2 = 0 itself: this catches a layout bug
+    _assert_squares_to_zero(TotComplex(nerve_complex(g_can_min(symmetric_group(3)), 4, domain)))
+
+
+def test_tot_squares_to_zero_on_random_spaces():
+    for seed in range(10):
+        space = random_space(random.Random(seed))
+        for mixed in (nerve_complex(space, 4, QQ), space_mixed_complex(space, 3, QQ)):
+            _assert_squares_to_zero(TotComplex(mixed))
 
 
 # ------------------------------------------------------------ k x k, M_2
@@ -222,7 +240,7 @@ def test_faces_conjugate_by_t_but_not_simplicial_are_caught():
     # pass every cyclic check, so only the d_0 d_j check can catch them
     m = additive_cyclic_nerve(orbit_objects(g_can_min(cyclic_group(2)), QQ), 3)
     t1, t2 = m.cyclic(1), m.cyclic(2)
-    bump = Matrix.zeros(m.dims[1], m.dims[2], QQ)
+    bump = Matrix(m.dims[1], m.dims[2], QQ)
     bump.set(0, 0, 1)
     faces = [m.face(2, 0) + bump]
     for i in (1, 2):

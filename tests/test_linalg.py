@@ -36,8 +36,8 @@ from coarsehom.trace import TraceContext, nerve_pushforward_matrix
 def test_rank_hand_examples():
     assert rank(Matrix.from_dense([[1, 2], [2, 4]], QQ)) == 1
     assert rank(Matrix.from_dense([[1, 2], [3, 4]], QQ)) == 2
-    assert rank(Matrix.zeros(3, 5, QQ)) == 0
-    assert rank(Matrix.zeros(0, 4, ZZ)) == 0
+    assert rank(Matrix(3, 5, QQ)) == 0
+    assert rank(Matrix(0, 4, ZZ)) == 0
     assert rank(Matrix.identity(7, GF(3))) == 7
     # rank over Z is the rank over Q, not anything mod-2
     assert rank(Matrix.from_dense([[2, 0], [0, 2]], ZZ)) == 2
@@ -46,7 +46,7 @@ def test_rank_hand_examples():
 def test_kernel_basis_rationals():
     m = Matrix.from_dense([[1, 2], [2, 4]], QQ)
     assert kernel_basis(m) == [{1: Fraction(1), 0: Fraction(-2)}]
-    full = Matrix.zeros(2, 3, QQ)
+    full = Matrix(2, 3, QQ)
     assert kernel_basis(full) == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
     assert kernel_basis(Matrix.identity(4, QQ)) == []
 
@@ -226,7 +226,7 @@ def test_smith_normal_form_hand():
     s, u, v = smith_normal_form(Matrix.from_dense([[2, 0], [0, 3]], ZZ))
     assert s.to_dense() == [[1, 0], [0, 6]]
     assert invariant_factors(Matrix.from_dense([[1, 1, -1, 1], [0, 0, 2, 0]], ZZ)) == [1, 2]
-    assert invariant_factors(Matrix.zeros(3, 2, ZZ)) == []
+    assert invariant_factors(Matrix(3, 2, ZZ)) == []
     assert invariant_factors(Matrix.identity(3, ZZ)) == [1, 1, 1]
 
 
@@ -311,7 +311,7 @@ def test_invariant_factors_unit_pivot_cases(dense, factors):
 
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 5)])
 def test_invariant_factors_empty_and_zero_shapes(shape):
-    m = Matrix.zeros(*shape, ZZ)
+    m = Matrix(*shape, ZZ)
     assert invariant_factors(m) == []
     s, _, _ = smith_normal_form(m, with_transforms=False)
     assert (s.nrows, s.ncols) == shape and s.is_zero()
@@ -392,15 +392,15 @@ def test_smith_rejects_field_matrices():
 def test_homology_triangle_circle():
     # triangle boundary: three vertices, three edges glued in a cycle
     d1 = Matrix.from_dense([[-1, 0, 1], [1, -1, 0], [0, 1, -1]], ZZ)
-    h0 = homology_at(Matrix.zeros(0, 3, ZZ), d1, degree=0)
+    h0 = homology_at(Matrix(0, 3, ZZ), d1, degree=0)
     assert (h0.betti, h0.torsion) == (1, ())
-    h1 = homology_at(d1, Matrix.zeros(3, 0, ZZ), degree=1)
+    h1 = homology_at(d1, Matrix(3, 0, ZZ), degree=1)
     assert (h1.betti, h1.torsion) == (1, ())
 
 
 def test_homology_torsion_example():
     # 1 -> Z --2--> Z: H = Z/2
-    d_out = Matrix.zeros(0, 1, ZZ)
+    d_out = Matrix(0, 1, ZZ)
     d_in = Matrix.from_dense([[2]], ZZ)
     h = homology_at(d_out, d_in, degree=0)
     assert h.betti == 0
@@ -476,7 +476,7 @@ def test_compression_keeps_residual_pivot_rows(monkeypatch):
     # no unit pivot in d[1], so no row of d[2] goes: dropping the row of
     # the residual's pivot (the 2) would leave [[-2]] and a false Z/2
     drops = _recorded_drops(monkeypatch)
-    cx = Complex([Matrix.zeros(0, 1, ZZ), Matrix.from_dense([[2, 3]], ZZ),
+    cx = Complex([Matrix(0, 1, ZZ), Matrix.from_dense([[2, 3]], ZZ),
                   Matrix.from_dense([[3], [-2]], ZZ)])
     assert cx.homology(1) == linalg_module.HomologyResult(degree=1, betti=0, torsion=())
     assert drops == [set(), set(), set()]
@@ -576,6 +576,21 @@ def test_from_columns_finishes_each_column():
     assert Matrix.from_columns([{0: Fraction(1, 2)}], 1, GF(5)).get(0, 0) == 3
     with pytest.raises(TypeError):
         Matrix.from_columns([{0: Fraction(1, 2)}], 1, ZZ)
+
+
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(5)], ids=["Q", "Z", "F5"])
+def test_from_columns_reads_a_generator_like_a_list(domain):
+    cols = [{0: 7, 2: -1}, {}, {1: 3}, {}, {}]  # trailing empty columns still count
+    got = Matrix.from_columns((col for col in cols), 3, domain)
+    assert got == Matrix.from_columns(cols, 3, domain)
+    assert (got.nrows, got.ncols) == (3, 5)
+    empty = Matrix.from_columns((col for col in []), 4, domain)
+    assert (empty.nrows, empty.ncols) == (4, 0)
+    # a bad row or an inexact value in a later column still raises
+    with pytest.raises(IndexError):
+        Matrix.from_columns((col for col in [{0: 1}, {}, {3: 1}]), 3, domain)
+    with pytest.raises(TypeError):
+        Matrix.from_columns((col for col in [{0: 1}, {}, {1: 0.5}]), 3, domain)
 
 
 def _q_true_fraction(rng):
@@ -740,7 +755,7 @@ def test_matrix_one_term_columns_match_dense_fractions(domain):
 def test_products_and_sums_share_no_column_with_an_operand(domain):
     a = Matrix.from_dense([[1, 2], [0, -1]], domain)
     p = Matrix.from_dense([[0, 1], [1, 0]], domain)
-    z = Matrix.zeros(2, 2, domain)
+    z = Matrix(2, 2, domain)
     before = a.to_dense()
     for out in (a @ p, a @ Matrix.identity(2, domain), a + z, z + a, a - z, a.scale(1),
                 a.scale(-1)):

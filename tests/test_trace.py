@@ -13,7 +13,7 @@ from coarsehom.chains import (
     basis_chain,
     pushforward_matrix,
 )
-from coarsehom.controlled import direct_sum, generator
+from coarsehom.controlled import generator
 from coarsehom.groups import cyclic_group, named_group, trivial_group
 from coarsehom.cyclic import NormalizedNerveBasis
 from coarsehom.homology import nerve_complex
@@ -28,6 +28,7 @@ from coarsehom.trace import (
     xc_connes_operator,
     xc_cyclic_operator,
 )
+from conftest import direct_sum
 
 
 def point_ctx(max_degree=4, domain=QQ):
