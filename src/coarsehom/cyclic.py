@@ -43,8 +43,10 @@ a `linalg.Complex`, so b^2 = 0 is checked once, where it is built;
 `MixedComplex` adds B^2 = 0 and bB + Bb = 0, on either nerve.  Together
 they imply d^2 = 0 of the total complex, which `TotComplex` does not
 check again.  A failed identity raises `InvariantError` with a convention
-diagnostic.  HH is the homology of the b-complex and HC that of its
-`TotComplex`.
+diagnostic.  HH is the homology of the b-complex, and HC that of the
+total complex of b and B.  `hochschild_cyclic_betti` derives HC from HH
+through Connes' SBI sequence, and builds and reduces the `TotComplex`
+only where the connecting map B_* can be nonzero.
 """
 
 from __future__ import annotations
@@ -459,8 +461,9 @@ def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None):
 
 class MixedComplex:
     """(C, b, B) on the nerve bases `basis`: b^2 = 0 checked by the
-    b-complex, B^2 = 0 and bB + Bb = 0 here.  The degree cap, domain and
-    dimensions are read off b, and the nerve data off the bases.
+    b-complex, B^2 = 0 and bB + Bb = 0 here, on `big_b`, the list of B_n.
+    The degree cap, domain and dimensions are read off b, and the nerve
+    data off the bases.
     """
 
     def __init__(self, b, big_b, basis, source=None):
@@ -470,7 +473,7 @@ class MixedComplex:
         self.dims = self.b_complex.dims
         self.basis = basis
         self.data = basis[0].data
-        self._B = big_b
+        self.big_b = big_b
         self.source = source
         self._verify()
 
@@ -482,17 +485,17 @@ class MixedComplex:
     def B(self, n):
         if not (0 <= n < self.max_degree):
             raise ValueError(f"B undefined in degree {n}")
-        return self._B[n]
+        return self.big_b[n]
 
     def _verify(self):
-        b = self.b_complex.d
+        b, big_b = self.b_complex.d, self.big_b
         for n in range(self.max_degree - 1):
-            if not (self._B[n + 1] @ self._B[n]).is_zero():
+            if not (big_b[n + 1] @ big_b[n]).is_zero():
                 raise InvariantError("mixed-complex identity B^2 = 0 (sign-convention bug)", n)
         for n in range(self.max_degree):
-            anti = b[n + 1] @ self._B[n]
+            anti = b[n + 1] @ big_b[n]
             if n >= 1:
-                anti = anti + self._B[n - 1] @ b[n]
+                anti = anti + big_b[n - 1] @ b[n]
             if not anti.is_zero():
                 raise InvariantError(
                     "mixed-complex identity bB + Bb = 0 (sign-convention bug)", n
@@ -537,21 +540,85 @@ def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None
 class TotComplex(Complex):
     """Total complex of the (B, b)-bicomplex: Tot_n = C_n + C_(n-2) + ...
 
-    It is `linalg.total_boundaries` with step 2 on columns of b joined
-    by B: block j of Tot_n is C_(n-2j), b maps it to block j of Tot_(n-1)
-    and B to block j - 1.  It is the one `Complex` built without the
-    d^2 = 0 check, which the identities of `mixed` imply.
+    It reads only the b-complex `b_complex` and `big_b`, the B_n of one
+    `MixedComplex`, so the bases and nerve data can go before it is
+    built.  It is `linalg.total_boundaries` with step 2 on columns of b
+    joined by B: block j of Tot_n is C_(n-2j), b maps it to block j of
+    Tot_(n-1) and B to block j - 1.  It is the one `Complex` built without
+    the d^2 = 0 check, which the identities of the mixed complex imply.
 
     Proof.  Block j of Tot_n reaches Tot_(n-2) by b b in
     block j, by b B + B b in block j - 1 and by B B in block j - 2.  Every
-    factor is a matrix of `mixed` in degrees <= N, where the b-complex has
-    checked b^2 = 0 and `MixedComplex` B^2 = 0 and bB + Bb = 0, so each
-    block of d_(n-1) d_n is zero.
+    factor is b or B of the mixed complex in degrees <= N, where the
+    b-complex has checked b^2 = 0 and `MixedComplex` B^2 = 0 and
+    bB + Bb = 0, so each block of d_(n-1) d_n is zero.
     """
 
-    def __init__(self, mixed):
-        N = mixed.max_degree
-        big_b = [mixed.B(n) for n in range(N)]
-        self._set_up(total_boundaries([mixed.b_complex.d] * (N // 2 + 1), [big_b] * (N // 2),
-                                      2, N, mixed.domain))
+    def __init__(self, b_complex, big_b):
+        N = b_complex.max_degree
+        self._set_up(total_boundaries([b_complex.d] * (N // 2 + 1), [big_b] * (N // 2),
+                                      2, N, b_complex.domain))
 
+
+def _sbi(hh, rho):
+    """HC_n = HH_n + HC_(n-2) - rho_n - rho_(n+1), degree by degree."""
+    hc = []
+    for n, h in enumerate(hh):
+        hc.append(h + (hc[n - 2] if n >= 2 else 0) - rho[n] - rho[n + 1])
+    return hc
+
+
+def hochschild_cyclic_betti(b_complex, big_b):
+    """(HH, HC) betti lists, degrees 0 .. N - 1, of the mixed complex with
+    b-complex `b_complex` and B_n = `big_b[n]`, as for `TotComplex`.  HC
+    is derived from HH through Connes' SBI sequence
+    ... -> HH_n -> HC_n -> HC_(n-2) -> HH_(n-1) -> ... (Loday, Cyclic
+    Homology, 2.2 and 2.5); the total complex is built and reduced only
+    where the connecting map B_* can be nonzero.
+
+    Proof.  Tot_n = C_n + Tot_(n-2), and its boundary is the block
+    triangular T_n = [[b_n, beta], [0, T_(n-2)]], where beta is B_(n-2) on
+    block 0 of Tot_(n-2) and zero on the other blocks.  So
+    rank T_n = rank b_n + rank T_(n-2) + rho_n, with rho_n the dimension of
+    (beta(ker T_(n-2)) + im b_n) / im b_n.  For x in ker T_(n-2),
+    b x_0 = -B x_1, so b B x_0 = -B b x_0 = B B x_1 = 0; and beta T_(n-1) y
+    = B b y_0 = -b B y_0 lies in im b_n.  So beta induces
+    B_*: HC_(n-2) -> HH_(n-1), and rho_n is its rank.  Counting
+    HC_n = dim Tot_n - rank T_n - rank T_(n+1) with both ranks expanded,
+
+        HC_n = HH_n + HC_(n-2) - rho_n - rho_(n+1),
+
+    with rho_0 = rho_1 = 0 and HC_(-1) = HC_(-2) = 0 (Tot_n = C_n below
+    degree 2).  As a rank, 0 <= rho_n <= min(HH_(n-1), HC_(n-2)).
+
+    If for every 2 <= n <= N either HH_(n-1) = 0 or HC_(n-2) = 0, every
+    rho_n is zero: by induction on n, HC_(n-2) from the formula with zero
+    rhos is exact, as it needs rho only up to degree n - 1.  Then no total
+    complex is built.  Free actions over Q, or over F_p with p prime to
+    |G|, always take this path: there HH_n = 0 for n >= 1 (Burghelea
+    1985).  Otherwise the `TotComplex` is reduced in degree order,
+    compressed, and rho_n = rank T_n - rank T_(n-2) - rank b_n; a rho
+    outside its bounds raises `InvariantError`.
+
+    On the point, C = k in degree 0 of the normalized nerve:
+
+        >>> from coarsehom.controlled import generator
+        >>> from coarsehom.spaces import point_space
+        >>> mixed = normalized_mixed_complex([generator(point_space(), QQ)], 3)
+        >>> hochschild_cyclic_betti(mixed.b_complex, mixed.big_b)
+        ([1, 0, 0], [1, 0, 1])
+    """
+    N = b_complex.max_degree
+    hh = [b_complex.homology(n).betti for n in range(N)]
+    rho = [0] * (N + 1)
+    hc = _sbi(hh, rho)
+    if all(not hh[n - 1] or not hc[n - 2] for n in range(2, N + 1)):
+        return hh, hc
+    tot = TotComplex(b_complex, big_b)
+    for n in range(2, N + 1):
+        rho[n] = tot.boundary_rank(n) - tot.boundary_rank(n - 2) - b_complex.boundary_rank(n)
+    hc = _sbi(hh, rho)
+    for n in range(2, N + 1):
+        if not 0 <= rho[n] <= min(hh[n - 1], hc[n - 2]):
+            raise InvariantError(f"SBI bound 0 <= rank B_*: HC_{n - 2} -> HH_{n - 1}", n)
+    return hh, hc

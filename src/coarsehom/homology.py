@@ -2,7 +2,12 @@
 
 from .chains import CoarseChainComplex
 from .controlled import orbit_objects, require_nerve_admissible
-from .cyclic import TotComplex, additive_cyclic_nerve, normalized_mixed_complex, to_mixed
+from .cyclic import (
+    additive_cyclic_nerve,
+    hochschild_cyclic_betti,
+    normalized_mixed_complex,
+    to_mixed,
+)
 from .linalg import QQ, ZZ
 
 
@@ -36,8 +41,9 @@ def nerve_complex(space, max_degree=3, domain=QQ, objects=None):
 
 
 def nerve_profiles(space, max_degree=3, domain=QQ, objects=None):
-    """(Hochschild, cyclic) betti lists of one normalized nerve build."""
+    """(Hochschild, cyclic) betti lists of one normalized nerve build, HC
+    derived from HH by `cyclic.hochschild_cyclic_betti`."""
     mixed = nerve_complex(space, max_degree, domain, objects)
-    complexes = mixed.b_complex, TotComplex(mixed)
+    b_complex, big_b = mixed.b_complex, mixed.big_b
     del mixed  # its bases and nerve data go before any boundary is reduced
-    return tuple([cx.homology(n).betti for n in range(max_degree)] for cx in complexes)
+    return hochschild_cyclic_betti(b_complex, big_b)

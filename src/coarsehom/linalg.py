@@ -980,11 +980,11 @@ class Complex:
     or domains that do not match with a ValueError; `name` labels the
     complex in the error.  The one complex built without the check is
     `cyclic.TotComplex`, whose d^2 = 0 the identities of its mixed complex
-    already imply (the proof is there).  `homology(n)` reduces the boundaries in degree
-    order, d[0] up to d[n+1], each at most once, and caches the rank of
-    each and, over Z, its torsion.  `rank` reduces them over a field; over
-    Z `invariant_factors` reduces d[1] and up, and `rank` d[0], whose
-    torsion would be that of H_-1.
+    already imply (the proof is there).  `homology(n)` reduces the
+    boundaries in degree order, d[0] up to d[n+1], each at most once, and
+    caches the rank of each (`boundary_rank`) and, over Z, its torsion.
+    `rank` reduces them over a field; over Z `invariant_factors` reduces
+    d[1] and up, and `rank` d[0], whose torsion would be that of H_-1.
 
     The reduction compresses (Chen and Kerber 2011; Bauer, Kerber and
     Reininghaus 2014): before d[k+1] is reduced, the rows indexed by the
@@ -1023,15 +1023,12 @@ class Complex:
         self._reduced = []  # per degree: (rank, torsion)
         self._pivots = []  # unit pivot columns of the last boundary reduced
 
-    def homology(self, n):
-        """ker d[n] / im d[n+1]: a betti number and, over Z, the torsion.
-
-        Over Z the torsion is the invariant factors of d[n+1] that exceed 1
-        (the kernel of a map of free abelian groups is a direct summand).
-        """
-        if not (0 <= n < self.max_degree):
-            raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
-        while len(self._reduced) <= n + 1:
+    def boundary_rank(self, n):
+        """The rank of d[n]; d[0] up to d[n] are reduced first, in degree
+        order, each at most once."""
+        if not (0 <= n <= self.max_degree):
+            raise ValueError(f"no boundary d[{n}] (need 0 <= n <= {self.max_degree})")
+        while len(self._reduced) <= n:
             k = len(self._reduced)
             m = _Compressed(self.d[k], set(self._pivots))
             if self.domain is ZZ and k:
@@ -1040,8 +1037,19 @@ class Complex:
             else:
                 self._reduced.append((rank(m), ()))
             self._pivots = m.pivots
-        (low, _), (high, torsion) = self._reduced[n], self._reduced[n + 1]
-        return HomologyResult(degree=n, betti=self.dims[n] - low - high, torsion=torsion)
+        return self._reduced[n][0]
+
+    def homology(self, n):
+        """ker d[n] / im d[n+1]: a betti number and, over Z, the torsion.
+
+        Over Z the torsion is the invariant factors of d[n+1] that exceed 1
+        (the kernel of a map of free abelian groups is a direct summand).
+        """
+        if not (0 <= n < self.max_degree):
+            raise ValueError(f"degree {n} out of range (need n + 1 <= {self.max_degree})")
+        low, high = self.boundary_rank(n), self.boundary_rank(n + 1)
+        return HomologyResult(degree=n, betti=self.dims[n] - low - high,
+                              torsion=self._reduced[n + 1][1])
 
 
 def homology_at(d_out, d_in, degree=0):

@@ -132,7 +132,7 @@ def test_criterion_03b_normalized_nerve_profiles_equal_the_full_nerve(corpus, do
     every fuzzed space (Eilenberg-Mac Lane; B = sN on the quotient)."""
     for space in corpus:
         full = space_mixed_complex(space, 4, domain)
-        tot = TotComplex(full)
+        tot = TotComplex(full.b_complex, full.big_b)
         expected = ([full.b_complex.homology(n).betti for n in range(4)],
                     [tot.homology(n).betti for n in range(4)])
         assert nerve_profiles(space, 4, domain) == expected

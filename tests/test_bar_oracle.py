@@ -75,7 +75,7 @@ def test_oracle_agrees_with_the_nerve_route(k):
     group = cyclic_group(k)
     ctx = TraceContext(g_can_min(group), QQ, max_degree=3)
     mixed = to_mixed(ctx.nerve)
-    tot = TotComplex(mixed)
+    tot = TotComplex(mixed.b_complex, mixed.big_b)
     for n in range(3):
         assert mixed.b_complex.homology(n).betti == bar_hh(group.table, n, QQ)
         assert tot.homology(n).betti == bar_hc(group.table, n, QQ)

@@ -31,10 +31,11 @@ from coarsehom.cyclic import (
     _NerveData,
     TotComplex,
     additive_cyclic_nerve,
+    hochschild_cyclic_betti,
     normalized_mixed_complex,
     to_mixed,
 )
-from coarsehom.groups import cyclic_group, symmetric_group, trivial_group
+from coarsehom.groups import cyclic_group, named_group, symmetric_group, trivial_group
 from coarsehom.homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
 from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
@@ -95,7 +96,7 @@ def test_ground_field_B_pattern():
 
 def test_tot_of_one_dimensional_mixed_complex():
     mix = to_mixed(generator_nerve(point_space(), 4))
-    tot = TotComplex(mix)
+    tot = TotComplex(mix.b_complex, mix.big_b)
     assert tot.dims == [1, 1, 2, 2, 3]
 
 
@@ -107,14 +108,15 @@ def _assert_squares_to_zero(cx):
 @pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
 def test_tot_squares_to_zero_on_s3(domain):
     # TotComplex does not check d^2 = 0 itself: this catches a layout bug
-    _assert_squares_to_zero(TotComplex(nerve_complex(g_can_min(symmetric_group(3)), 4, domain)))
+    mixed = nerve_complex(g_can_min(symmetric_group(3)), 4, domain)
+    _assert_squares_to_zero(TotComplex(mixed.b_complex, mixed.big_b))
 
 
 def test_tot_squares_to_zero_on_random_spaces():
     for seed in range(10):
         space = random_space(random.Random(seed))
         for mixed in (nerve_complex(space, 4, QQ), space_mixed_complex(space, 3, QQ)):
-            _assert_squares_to_zero(TotComplex(mixed))
+            _assert_squares_to_zero(TotComplex(mixed.b_complex, mixed.big_b))
 
 
 # ------------------------------------------------------------ k x k, M_2
@@ -259,7 +261,7 @@ def test_empty_object_list_gives_zero_module():
     assert m.dims == [0, 0, 0, 0]
     mix = to_mixed(m)
     assert mix.b_complex.homology(0).betti == 0
-    assert TotComplex(mix).homology(2).betti == 0
+    assert TotComplex(mix.b_complex, mix.big_b).homology(2).betti == 0
 
 
 def test_nerve_domain_must_be_the_objects_domain():
@@ -351,7 +353,7 @@ def test_degree_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         mix.b_complex.homology(2)
     with pytest.raises(ValueError, match="out of range"):
-        TotComplex(mix).homology(2)
+        TotComplex(mix.b_complex, mix.big_b).homology(2)
     m = generator_nerve(point_space(), 2)
     with pytest.raises(ValueError):
         m.face(0, 0)
@@ -369,7 +371,7 @@ def test_mod_p_nerve_identities_hold():
 
 
 def _profiles(mixed, top):
-    tot = TotComplex(mixed)
+    tot = TotComplex(mixed.b_complex, mixed.big_b)
     return ([mixed.b_complex.homology(n).betti for n in range(top)],
             [tot.homology(n).betti for n in range(top)])
 
@@ -606,9 +608,78 @@ def test_modular_normalized_nerve_matches_the_bar_oracle(p, hh_ref, hc_ref):
     group = symmetric_group(3)
     mixed = normalized_mixed_complex(orbit_objects(g_can_min(group), GF(p)), 4)
     oracle = bar_complex(group.table, 4, GF(p))
-    assert _profiles(mixed, 4) == (hh_ref, hc_ref)
+    assert hochschild_cyclic_betti(mixed.b_complex, mixed.big_b) == (hh_ref, hc_ref)
     assert [oracle.hh(n) for n in range(4)] == hh_ref
     assert [oracle.hc(n) for n in range(4)] == hc_ref
+
+
+def _spy_on_tot(monkeypatch):
+    """The total complexes `hochschild_cyclic_betti` builds, in order."""
+    built = []
+
+    class Spy(TotComplex):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cyclic_module, "TotComplex", Spy)
+    return built
+
+
+@pytest.mark.parametrize("name, p, hh_ref, hc_ref", [
+    ("z2", 2, [2, 2, 2, 2, 2], [2, 1, 3, 2, 4]),
+    ("z4", 2, [4, 4, 4, 4, 4], [4, 2, 6, 4, 8]),
+    pytest.param("s3", 2, [3, 2, 2, 2, 2], [3, 1, 4, 2, 5], marks=pytest.mark.slow),
+    pytest.param("s3", 3, [3, 1, 1, 2, 2], [3, 0, 3, 1, 4], marks=pytest.mark.slow),
+], ids=["z2-F2", "z4-F2", "s3-F2", "s3-F3"])
+def test_sbi_fallback_matches_the_total_complex_and_the_bar_oracle(monkeypatch, name, p,
+                                                                   hh_ref, hc_ref):
+    # p divides |G|, so HH_n != 0 for n >= 1, B_* may be nonzero, and HC is
+    # read off the reduced total complex
+    group = named_group(name)
+    mixed = normalized_mixed_complex(orbit_objects(g_can_min(group), GF(p)), 5)
+    built = _spy_on_tot(monkeypatch)
+    assert hochschild_cyclic_betti(mixed.b_complex, mixed.big_b) == (hh_ref, hc_ref)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert _profiles(mixed, 5) == (hh_ref, hc_ref)
+    oracle = bar_complex(group.table, 5, GF(p))
+    assert ([oracle.hh(n) for n in range(5)], [oracle.hc(n) for n in range(5)]) == (
+        hh_ref, hc_ref)
+
+
+def test_z2_over_f2_needs_the_connecting_map():
+    # HC_n = HH_n + HC_(n-2) would give [2, 2, 4, 4, 6]: rho_2, rho_4 and
+    # rho_5 are 1
+    mixed = normalized_mixed_complex(orbit_objects(g_can_min(cyclic_group(2)), GF(2)), 5)
+    hh, hc = hochschild_cyclic_betti(mixed.b_complex, mixed.big_b)
+    assert hc == [2, 1, 3, 2, 4]
+    naive = []
+    for n, h in enumerate(hh):
+        naive.append(h + (naive[n - 2] if n >= 2 else 0))
+    assert naive == [2, 2, 4, 4, 6]
+
+
+def test_a_connecting_rank_out_of_bounds_is_a_named_internal_error(monkeypatch):
+    # every rank of the total complex raised by its degree puts rho_n 2 too high
+    mixed = normalized_mixed_complex(orbit_objects(g_can_min(cyclic_group(2)), GF(2)), 5)
+
+    class Inflated(TotComplex):
+        def boundary_rank(self, n):
+            return super().boundary_rank(n) + n
+
+    monkeypatch.setattr(cyclic_module, "TotComplex", Inflated)
+    with pytest.raises(InvariantError, match="SBI bound"):
+        hochschild_cyclic_betti(mixed.b_complex, mixed.big_b)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(7)], ids=["Q", "F7"])
+def test_free_nerve_profiles_build_no_total_complex(monkeypatch, domain):
+    # HH_n = 0 for n >= 1 on a free action, so every B_* is zero
+    built = _spy_on_tot(monkeypatch)
+    assert nerve_profiles(g_can_min(symmetric_group(3)), 4, domain) == (
+        [3, 0, 0, 0], [3, 0, 3, 0])
+    assert built == []
 
 
 @pytest.mark.slow

@@ -421,12 +421,11 @@ def _assert_compression_matches_each_boundary(cx):
     """The ranks and torsion that `cx` reads off its compressed boundaries
     equal the per-matrix ones of every boundary (over Z, d[0] gives its
     rank only)."""
-    cx.homology(cx.max_degree - 1)
-    expected = [(rank(cx.d[0]), ())]
-    for d in cx.d[1:]:
-        factors = invariant_factors(d) if cx.domain is ZZ else []
-        expected.append((rank(d), tuple(f for f in factors if f > 1)))
-    assert cx._reduced == expected
+    for n, d in enumerate(cx.d):
+        assert cx.boundary_rank(n) == rank(d), n
+        if n:
+            factors = invariant_factors(d) if cx.domain is ZZ else []
+            assert cx.homology(n - 1).torsion == tuple(f for f in factors if f > 1), n
 
 
 def _recorded_drops(monkeypatch):
@@ -460,7 +459,20 @@ def test_compressed_nerve_complexes_match_each_boundary(domain):
     for space in spaces:
         mixed = nerve_complex(space, 3, domain)
         _assert_compression_matches_each_boundary(mixed.b_complex)
-        _assert_compression_matches_each_boundary(TotComplex(mixed))
+        _assert_compression_matches_each_boundary(TotComplex(mixed.b_complex, mixed.big_b))
+
+
+def test_boundary_rank_reduces_each_boundary_once_in_degree_order(monkeypatch):
+    cx = CoarseChainComplex(g_can_min(symmetric_group(3)), 3, QQ)
+    drops = _recorded_drops(monkeypatch)
+    top = cx.boundary_rank(3)
+    assert len(drops) == 4
+    assert [cx.homology(n).betti for n in range(3)] == [1, 0, 0]
+    assert len(drops) == 4
+    monkeypatch.undo()
+    assert top == rank(cx.d[3]) > 0
+    with pytest.raises(ValueError, match="no boundary d\\[4\\]"):
+        cx.boundary_rank(4)
 
 
 def test_compressed_axiom_cone_matches_each_boundary():
@@ -480,7 +492,7 @@ def test_compression_keeps_residual_pivot_rows(monkeypatch):
                   Matrix.from_dense([[3], [-2]], ZZ)])
     assert cx.homology(1) == linalg_module.HomologyResult(degree=1, betti=0, torsion=())
     assert drops == [set(), set(), set()]
-    assert cx._reduced == [(0, ()), (1, ()), (1, ())]
+    assert [cx.boundary_rank(n) for n in range(3)] == [0, 1, 1]
     monkeypatch.undo()
     _assert_compression_matches_each_boundary(cx)
 
