@@ -15,8 +15,10 @@ tuples are never listed.  The plain (non-equivariant) complex of x is the
 complex of `spaces.underlying(x)`, whose only group element is the
 identity, so each of its orbits is one tuple.  Every chain map but phi
 (boundary, pushforward, the trace's t and s N) is built by one method,
-`OrbitBasis.matrix`, from one image per orbit.  phi is invariant by a
-property of the trace, so `collect` checks that it is constant on orbits.
+`OrbitBasis.matrix`, from one image per orbit.  phi is built from one
+trace per orbit representative too, by its own walk (`trace._phi_walk`),
+which starts at the least point of each orbit and writes into `index`:
+on a free action each tuple it reaches is its own orbit's representative.
 
 XH is computed on the normalized (Moore) complex, `CoarseChainComplex`.
 A tuple with x_i = x_(i+1) is degenerate; the degenerate chains span an
@@ -24,12 +26,12 @@ acyclic subcomplex (Eilenberg-Mac Lane), so the quotient by them has the
 same homology.  Its basis, `MooreBasis`, lists only the orbits of
 nondegenerate tuples, enumerated with each coordinate different from the
 one before, so the tuple cap counts nondegenerate representatives.  Its
-`matrix` and `collect` drop the degenerate orbits of an image, which are
-zero in the quotient; `collect` checks constancy on them first.  Faces and
-pushforwards are simplicial, so they descend.  The trace alone uses
-`TupleChainComplex`, the same complex on every orbit: the chain-level t
-and front insertion do not descend to the quotient, and phi . B, which is
-nonzero on the full complex, vanishes on the quotient in degree 0.
+`matrix` drops the degenerate orbits of an image, which are zero in the
+quotient.  Faces and pushforwards are simplicial, so they descend.  The
+trace alone uses `TupleChainComplex`, the same complex on every orbit: the
+chain-level t and front insertion do not descend to the quotient, and
+phi . B, which is nonzero on the full complex, vanishes on the quotient in
+degree 0.
 
 Either complex is a `linalg.Complex`: it enumerates each basis once,
 builds every boundary from those, and checks d^2 = 0 once.  Its homology
@@ -116,7 +118,9 @@ class OrbitBasis(list):
     Each representative is the least tuple of its orbit and stands for the
     sum of the orbit's indicator chains.  The least tuple of an orbit starts
     at the least point of x_0's orbit, so `rep` tries only the elements that
-    send x_0 there (one for a free action).
+    send x_0 there (one for a free action).  On a free action every tuple
+    that starts at the least point of an orbit is therefore its orbit's
+    representative, which is how phi's walk finds its rows in `index`.
     """
 
     def __init__(self, space, n):
@@ -166,27 +170,6 @@ class OrbitBasis(list):
         if self._free:
             return len(self._rows)
         return len(self._rows) // reduce(and_, map(self._stab.__getitem__, tup)).bit_count()
-
-    def collect(self, plain, domain):
-        """Rewrite an invariant plain chain in orbit-sum coordinates.
-
-        Constancy is checked on every orbit of the chain, also on orbits
-        that are not basis elements; those are then dropped.
-        """
-        col = {}
-        seen = set()
-        for tup in plain:
-            if tup in seen:
-                continue
-            orbit = self.orbit(tup)
-            seen |= orbit
-            vals = {plain.get(member, domain.zero) for member in orbit}
-            if len(vals) != 1:
-                raise InvariantError("an invariant chain is constant on orbits", len(tup) - 1)
-            v = vals.pop()
-            if v != domain.zero and self._kept(tup):
-                col[self.index[min(orbit)]] = v
-        return col
 
     def matrix(self, target, image, domain):
         """The map sending each orbit sum e_r to the sum of `image` over its
@@ -239,8 +222,8 @@ class MooreBasis(OrbitBasis):
     Degenerate tuples span a subcomplex with zero homology, so the quotient
     (the Moore complex) has the homology of the full complex.  Only
     nondegenerate tuples are enumerated, so the cap counts them; `matrix`
-    and `collect` drop the degenerate orbits of an image, which are zero in
-    the quotient.
+    drops the degenerate orbits of an image, which are zero in the
+    quotient.
     """
 
     @staticmethod

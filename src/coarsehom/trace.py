@@ -10,7 +10,12 @@ morphisms.  phi_matrix(n) is one depth-first pass over the trie of nerve
 keys: the partial product A_0 A_1 ... A_j of a key prefix (o, m[:j + 1])
 is formed once and shared by every key below it, and the last factor
 enters only through tr(P A_n) summed entry by entry.  The image is an
-invariant chain; phi_matrix expresses it in orbit-sum coordinates.
+invariant chain (a trace is invariant under conjugation), so, like every
+other chain map, phi is built from one image per orbit representative:
+the walk starts only at the least point of each orbit, and on a free
+action, the only kind the nerve guard admits, every tuple it reaches is
+its orbit's least and so its own basis element.  phi of a nerve vector
+reads the same matrix.
 
 A `TraceContext` is the two complexes phi joins, each from its one
 builder: the nerve's mixed complex from `homology.space_mixed_complex`
@@ -71,21 +76,30 @@ class TraceContext:
 
     # -- phi ---------------------------------------------------------------
 
-    def _phi_walk(self, n, keys):
-        """(key, plain coefficients of phi) for each of `keys`, in one
-        depth-first pass over their trie.
+    def _phi_walk(self, n):
+        """The columns of phi_n in orbit-sum coordinates, one per nerve key,
+        in one depth-first pass over the trie of the degree-n keys.
 
         A key's coefficient at (x_0, ..., x_n) is tr(A_0 A_1 ... A_n), where
         A_0 is the block x_0 -> x_n of factor 0 and A_j the block
-        x_j -> x_(j-1) of factor j.  The stack holds, for each factor
-        j < n of the current key, the partial products A_0 ... A_j of its
-        prefix (o, m[:j + 1]); the next key reuses the part of the stack its
-        prefix shares, so over keys in lexicographic order each partial
-        product is formed once.  Factor n is never multiplied in: tr(P A_n)
-        is summed entry by entry.
+        x_j -> x_(j-1) of factor j.  The walk starts only at the least point
+        x_0 of each orbit.  On a free action, the only kind
+        `require_nerve_admissible` admits, the one element that sends a
+        tuple's x_0 to that point makes the tuple its orbit's least, so each
+        tuple walked is a basis representative, and the trace there is the
+        orbit-sum coordinate (phi is invariant, since a trace is invariant
+        under conjugation).  A tuple missing from the basis index raises
+        `InvariantError`.  The stack holds, for each factor j < n of the
+        current key, the partial products A_0 ... A_j of its prefix
+        (o, m[:j + 1]); the next key reuses the part of the stack its prefix
+        shares, so over keys in lexicographic order each partial product is
+        formed once.  Factor n is never multiplied in: tr(P A_n) is summed
+        entry by entry.
         """
         data = self.nerve.data
         ends = self.nerve.basis[n].ends
+        index = self.chains.bases[n].index
+        starts = {orb[0] for orb in self.space.orbits()}
         adjacency = {}
 
         def by_target(o, j, k):
@@ -100,7 +114,7 @@ class TraceContext:
 
         stack = []  # stack[j]: [(x_n, (x_0, ..., x_j), A_0 ... A_j)]
         prev = (None, ())
-        for key in keys:
+        for key in self.nerve.basis[n]:
             o, m = key
             shared = 0
             if o == prev[0]:
@@ -110,8 +124,8 @@ class TraceContext:
             for j in range(shared, max(n, 1)):
                 adj = by_target(o, j, m[j])
                 if j == 0:
-                    states = [(xn, (x0,), blk)
-                              for xn, row in adj.items() for x0, blk in row.items()]
+                    states = [(xn, (x0,), blk) for xn, row in adj.items()
+                              for x0, blk in row.items() if x0 in starts]
                 else:
                     states = [(xn, path + (x,), partial @ blk)
                               for xn, path, partial in stack[-1]
@@ -129,32 +143,29 @@ class TraceContext:
                     blk = final.get(path[-1], {}).get(xn)
                     if blk is not None:
                         out[path + (xn,)] = _trace_of_product(partial, blk)
-            yield key, finished(out, self.domain)
-
-    def _phi_of_basis(self, n, key):
-        """Plain coefficients of phi on one nerve basis element."""
-        return next(self._phi_walk(n, [key]))[1]
+            if not out.keys() <= index.keys():
+                raise InvariantError("a tuple walked from an orbit minimum is its "
+                                     "orbit's representative", n)
+            yield {index[tup]: v for tup, v in out.items()}
 
     def phi_matrix(self, n):
-        """Matrix of phi_n from the nerve basis to invariant chain coordinates."""
+        """Matrix of phi_n from the nerve basis to the orbit sums of the
+        tuple basis, from one trace per orbit representative (`_phi_walk`;
+        it needs a free action)."""
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"phi undefined in degree {n}")
         if self._phi_cols[n] is None:
-            basis = self.chains.bases[n]
-            cols = (basis.collect(plain, self.domain)
-                    for _, plain in self._phi_walk(n, self.nerve.basis[n]))
-            self._phi_cols[n] = Matrix.from_columns(cols, len(basis), self.domain)
+            self._phi_cols[n] = Matrix.from_columns(self._phi_walk(n),
+                                                    len(self.chains.bases[n]), self.domain)
         return self._phi_cols[n]
 
     def phi(self, n, vector):
-        """phi of a nerve vector (sparse dict over the degree-n basis)."""
-        if not (0 <= n <= self.max_degree):
-            raise ValueError(f"phi undefined in degree {n}")
-        plain = {}
-        for idx, coeff in vector.items():
-            part = self._phi_of_basis(n, self.nerve.basis[n][idx])
-            for tup, val in part.items():
-                plain[tup] = plain.get(tup, 0) + coeff * val
+        """phi of a nerve vector (sparse dict over the degree-n basis): the
+        combination of `phi_matrix(n)` columns, expanded over the members of
+        each orbit.  An index outside range(dims[n]) raises IndexError."""
+        coords = self.phi_matrix(n).mat_vec(vector)
+        basis = self.chains.bases[n]
+        plain = {tup: v for i, v in coords.items() for tup in basis.orbit(basis[i])}
         return ControlledChain(self.space, n, plain, self.domain, check=False)
 
     def boundary_matrix(self, n):

@@ -228,6 +228,7 @@ GOLDEN_RUNS = {
     "z3-cyclic-fp5-d4": "@gcanmin:z3 --theory cyclic --coeff Fp:5 --max-degree 4",
     "point-trace-d3": "@point --theory trace --max-degree 3",
     "s3-trace-d4": "@gcanmin:s3 --theory trace --max-degree 4",
+    "s3-trace-fp5-d4": "@gcanmin:s3 --theory trace --coeff Fp:5 --max-degree 4",
     "z2-axioms-b6-seed3-d3": "@gcanmin:z2 --theory axioms --budget 6 --seed 3 --max-degree 3",
     "s3-axioms-b10-seed0-d3": "@gcanmin:s3 --theory axioms --budget 10 --seed 0 --max-degree 3",
     "z4-ordinary-z-d6": "@gcanmin:z4 --theory ordinary --coeff Z --max-degree 6",

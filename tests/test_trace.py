@@ -5,20 +5,27 @@ from itertools import product
 import pytest
 
 import coarsehom.chains as chains_module
+import coarsehom.homology as homology_module
 from coarsehom.axioms import random_equivalence, random_space
 from coarsehom.chains import (
     ControlledChain,
-    OrbitBasis,
     TupleChainComplex,
     basis_chain,
     pushforward_matrix,
 )
 from coarsehom.controlled import generator
-from coarsehom.groups import cyclic_group, named_group, trivial_group
+from coarsehom.groups import cyclic_group, named_group, named_subgroup, trivial_group
 from coarsehom.cyclic import NormalizedNerveBasis
 from coarsehom.homology import nerve_complex
-from coarsehom.linalg import GF, Matrix, QQ, finished, kernel_basis, rank
-from coarsehom.spaces import GBornCoarseSpace, SpaceMap, empty_space, g_can_min, point_space
+from coarsehom.linalg import GF, InvariantError, Matrix, QQ, finished, kernel_basis, rank
+from coarsehom.spaces import (
+    GBornCoarseSpace,
+    SpaceMap,
+    coset_space,
+    empty_space,
+    g_can_min,
+    point_space,
+)
 from coarsehom.trace import (
     TraceContext,
     _trace_of,
@@ -86,10 +93,10 @@ def test_phi_image_is_invariant_and_controlled():
 def test_phi_support_stays_inside_the_block_supports():
     ctx = canmin_ctx(2, max_degree=2)
     n = 1
-    for key in ctx.nerve.basis[n]:
+    for i, key in enumerate(ctx.nerve.basis[n]):
         factors = ctx.nerve.basis[n].factors(key)
         allowed = [set(a.blocks) for a in factors]
-        chain = ctx._phi_of_basis(n, key)
+        chain = ctx.phi(n, {i: 1}).coefficients
         for (x0, x1) in chain:
             assert (x0, x1) in allowed[0]
             assert (x1, x0) in allowed[1]
@@ -133,7 +140,8 @@ def _direct_sum_ctx(domain, max_degree):
     lambda dom: canmin_ctx(3, max_degree=3, domain=dom),
     lambda dom: _direct_sum_ctx(dom, 2),
     lambda dom: TraceContext(random_space(random.Random(3)), dom, max_degree=3),
-], ids=["z2", "z3", "direct-sum", "random"])
+    lambda dom: TraceContext(g_can_min(named_group("s3")), dom, max_degree=2),
+], ids=["z2", "z3", "direct-sum", "random", "s3"])
 def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
     ctx = make(domain)
     nonzero = 0
@@ -141,7 +149,7 @@ def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
         keys = ctx.nerve.basis[n]
         got = list(_phi_columns_as_chains(ctx, n))
         assert got == [_oracle_phi(ctx, n, key) for key in keys]
-        assert [ctx._phi_of_basis(n, key) for key in keys] == got
+        assert [ctx.phi(n, {i: 1}).coefficients for i in range(len(keys))] == got
         nonzero += sum(map(bool, got))
     assert nonzero
 
@@ -153,10 +161,15 @@ def test_the_direct_sum_object_has_blocks_bigger_than_one():
     assert blocks and all((blk.nrows, blk.ncols) == (2, 2) for blk in blocks)
 
 
-@pytest.mark.parametrize("k, expected", [(2, 24), (3, 108)])
+@pytest.mark.parametrize("k, expected", [(2, 12), (3, 36)])
 def test_phi_forms_each_partial_block_product_once(monkeypatch, k, expected):
-    """On the orbit object of Z/k each basis morphism has one block per
-    point, so degree n forms k^(j+2) partial products at factor j, 0 < j < n."""
+    """On g_can_min(Z/k) there is one orbit object, with k basis morphisms,
+    each with one block per point.  The walk starts at the one orbit minimum,
+    so a prefix m[:1] has one state, and each further factor extends a state
+    by the one block out of its last point.  So every prefix m[:j + 1] has
+    one state and costs one product at factor j, 0 < j < n, and there are
+    k^(j+1) prefixes: k^(j+1) products at factor j, 1/k of the k^(j+2) of
+    a walk from every point.  Degree 3 makes k^2 + k^3 of them."""
     ctx = canmin_ctx(k, max_degree=3)
     calls = []
     real = Matrix.__matmul__
@@ -167,22 +180,29 @@ def test_phi_forms_each_partial_block_product_once(monkeypatch, k, expected):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     ctx.phi_matrix(3)
-    assert len(calls) == expected == sum(k ** (i + 1) for i in range(2, 4))
+    assert len(calls) == expected == sum(k ** (j + 1) for j in range(1, 3))
 
 
-def test_phi_matrix_collects_every_column(monkeypatch):
-    ctx = canmin_ctx(3, max_degree=2)
-    columns = []
-    real = OrbitBasis.collect
+def test_phi_on_a_non_free_action_is_an_internal_error(monkeypatch):
+    """The walk needs a free action: on S_3/Z_2 with every pair related, the
+    stabilizer of point 0 swaps 1 and 2, so the walked tuple (0, 2) is not
+    its orbit's least, (0, 1)."""
+    monkeypatch.setattr(homology_module, "require_nerve_admissible", lambda space, domain: None)
+    s3 = named_group("s3")
+    cosets = coset_space(s3, named_subgroup(s3, "z2"))
+    space = GBornCoarseSpace(cosets.points, [(0, 1), (0, 2)], s3, cosets.action)
+    ctx = TraceContext(space, QQ, max_degree=1)
+    assert ctx.chains.bases[1] == [(0, 0), (0, 1)]
+    with pytest.raises(InvariantError, match="orbit's representative fails in degree 1"):
+        ctx.phi_matrix(1)
 
-    def counting(self, plain, domain):
-        columns.append(plain)
-        return real(self, plain, domain)
 
-    monkeypatch.setattr(OrbitBasis, "collect", counting)
-    for n in range(3):
-        ctx.phi_matrix(n)
-    assert len(columns) == sum(ctx.nerve.dims)
+@pytest.mark.parametrize("n", [0, 1])
+def test_phi_rejects_an_index_outside_the_nerve_basis(n):
+    ctx = canmin_ctx(2, max_degree=1)
+    for idx in (-1, ctx.nerve.dims[n]):
+        with pytest.raises(IndexError):
+            ctx.phi(n, {idx: QQ.one})
 
 
 @pytest.mark.parametrize("a, b, domain", [
