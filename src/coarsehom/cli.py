@@ -83,20 +83,31 @@ def _space_from_json(doc):
             _need(isinstance(v, int) and 0 <= v < len(points), f"action[{gi}][{xi}]",
                   "must be a point index")
 
+    labels = {p: i for i, p in enumerate(points)}
+
+    def resolve(field, i, entries):
+        """The point indices of generator i of `field`, entries read as labels."""
+        for j, p in enumerate(entries):
+            _need(isinstance(p, (str, int)) and p in labels, f"{field}[{i}][{j}]",
+                  "must be a point label")
+        return [labels[p] for p in entries]
+
     gens = doc["entourage_generators"]
     _need(isinstance(gens, list), "entourage_generators", "must be a list of pairs")
     for i, pair in enumerate(gens):
         _need(isinstance(pair, list) and len(pair) == 2, f"entourage_generators[{i}]",
               "must be a two-element list")
+    gens = [tuple(resolve("entourage_generators", i, pair)) for i, pair in enumerate(gens)]
 
     borno = doc.get("bornology_generators")
     if borno is not None:
         _need(isinstance(borno, list), "bornology_generators", "must be a list of lists")
         for i, gen in enumerate(borno):
             _need(isinstance(gen, list), f"bornology_generators[{i}]", "must be a list")
+        borno = [resolve("bornology_generators", i, gen) for i, gen in enumerate(borno)]
 
     try:
-        return GBornCoarseSpace(points, [tuple(p) for p in gens], group, action, borno)
+        return GBornCoarseSpace(points, gens, group, action, borno)
     except ValueError as e:
         raise InputError("space", str(e))
 

@@ -1,22 +1,25 @@
 """Cyclic modules, mixed complexes, and Hochschild/cyclic homology.
 
 The additive cyclic nerve of a list of controlled objects is built from
-its nerve data, `_NerveData`: basis dimensions per hom space, composition
-coordinates, and the basis index of each identity.  One object gives the
-cyclic module of its endomorphism algebra.  Degree n of the nerve is the direct sum, over
-(n+1)-tuples of objects, of Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on}).
+its nerve data, `_NerveData`: one id for every basis morphism of every hom
+space, cached composition coordinates over those ids, and the id of each
+identity.  One object gives the cyclic module of its endomorphism algebra.
+Degree n of the nerve is the direct sum, over (n+1)-tuples of objects, of
+Hom(P_{o1},P_{o0}) x ... x Hom(P_{o0},P_{on}).
 
-The degree-n basis is one value, `NerveBasis`: the keys (object tuple,
-morphism index tuple), enumerated lexicographically so every matrix is
-reproducible bit for bit, and their index.  An object tuple with a zero
-hom factor has no keys, so the enumeration visits only the closed walks in
-the support graph of Hom, not all r^(n+1) tuples of r objects, and costs
-per nonempty tuple.  The basis holds the one rule for the hom space of
-each factor (`ends`), and every nerve operator (the faces, t, the
-degeneracies, s N, and the trace's nerve pushforward) is one `matrix` call
-with an image function on keys.  The identity of each object is one basis
-index, `unit_index`, so inserting an identity is a key map.  Other modules
-read keys, factors and coordinates through the basis and the nerve data.
+The degree-n basis is one value, `NerveBasis`: the keys and their index.
+A key is the tuple of its factors' morphism ids, a closed chain of n + 1
+composable morphisms, which fixes its objects.  The keys are listed in
+walk order, object tuple by object tuple, so every matrix is reproducible
+bit for bit.  An object tuple with a zero hom factor has no keys, so the
+enumeration visits only the closed walks in the support graph of Hom, not
+all r^(n+1) tuples of r objects, and costs per nonempty tuple.  Every
+nerve operator (the faces, t, the degeneracies, s N, and the trace's nerve
+pushforward) is one `matrix` call with an image function on keys, and each
+is a plain tuple edit: a face puts the id of a composite in place of two
+ids, t moves the last id to the front, and inserting an identity inserts
+its id.  Other modules read keys, factors and coordinates through the
+basis and the nerve data.
 
 XHH and XHC are computed on the normalized nerve,
 `normalized_mixed_complex`.  A key is degenerate when a factor j >= 1 is
@@ -63,8 +66,13 @@ BASIS_CAP = 200_000  # keys per degree, read when a basis is listed
 
 
 class _NerveData:
-    """Hom-space dimensions, composition coordinates and unit indices for a
-    nerve (see `additive_cyclic_nerve` for the empty list and `domain`).
+    """The nerve's hom spaces, with one id for each basis morphism (see
+    `additive_cyclic_nerve` for the empty list and `domain`).
+
+    ids[s][t] is the range of ids of Hom(P_s, P_t), and ends[g] = (s, t, k)
+    says that id g is its basis vector k; unit[a] is the id of the identity
+    of object a, None for a zero object, whose End is 0.  Coordinates and
+    the cached products of basis morphisms are read over ids.
 
     The identity of every object is a basis vector of its End space: where
     the solved basis spreads it as u = sum u_i e_i, the least e_k with
@@ -92,93 +100,90 @@ class _NerveData:
         self.domain = domain
         r = len(objects)
         self.hom = [[HomSpace(objects[s], objects[t]) for t in range(r)] for s in range(r)]
-        self._comp = {}
+        self.ids = [[None] * r for _ in range(r)]
+        self.ends = []
+        for s in range(r):
+            for t in range(r):
+                start = len(self.ends)
+                self.ends += [(s, t, k) for k in range(self.hom[s][t].dim)]
+                self.ids[s][t] = range(start, len(self.ends))
+        self._products = {}
         self._pivot = {}  # object -> (k, u): e_k of End(P_a) is the identity u
         for a, ob in enumerate(self.objects):
             u = self.hom[a][a].coordinates(identity_morphism(ob))
             k = min(u, default=None)
             if u and u != {k: domain.one}:
                 self._pivot[a] = (k, u)
-        self.unit_index = [self._unit_index(a) for a in range(r)]
+        self.unit = [self._unit_id(a) for a in range(r)]
         self._check_unit_law()
 
     @property
     def count(self):
         return len(self.objects)
 
-    def dim(self, s, t):
-        return self.hom[s][t].dim
-
-    def morphism(self, s, t, k):
-        """Basis morphism k of Hom(P_s, P_t)."""
+    def morphism(self, g):
+        """The basis morphism with id g."""
+        s, t, k = self.ends[g]
         if s == t and s in self._pivot and self._pivot[s][0] == k:
             return identity_morphism(self.objects[s])
         return self.hom[s][t].basis[k]
 
     def coordinates(self, s, t, mor):
-        """Coordinates of a morphism P_s -> P_t in the hom basis."""
+        """Coordinates {id: c} of a morphism P_s -> P_t."""
         coords = self.hom[s][t].coordinates(mor)
-        if s != t or s not in self._pivot or self._pivot[s][0] not in coords:
-            return coords
-        # v = sum v_i e_i with e_k = (u - sum_(i != k) u_i e_i) / u_k
-        k, u = self._pivot[s]
-        ck = coords[k] * self.domain.coerce(Fraction(1) / u[k])
-        out = dict(coords)
-        for i, ui in u.items():
-            out[i] = out.get(i, 0) - ui * ck
-        out[k] = ck
-        return finished(out, self.domain)
+        if s == t and s in self._pivot and self._pivot[s][0] in coords:
+            # v = sum v_i e_i with e_k = (u - sum_(i != k) u_i e_i) / u_k
+            k, u = self._pivot[s]
+            ck = coords[k] * self.domain.coerce(Fraction(1) / u[k])
+            for i, ui in u.items():
+                coords[i] = coords.get(i, 0) - ui * ck
+            coords[k] = ck
+            coords = finished(coords, self.domain)
+        start = self.ids[s][t].start
+        return {start + k: v for k, v in coords.items()}
 
-    def comp(self, s, mid, t, i, j):
-        """Coordinates of basis_i . basis_j, basis_i in Hom(mid,t), basis_j in Hom(s,mid)."""
-        key = (s, mid, t, i, j)
-        out = self._comp.get(key)
+    def product(self, g, h):
+        """Coordinates of morphism(g) . morphism(h), where h ends where g starts."""
+        out = self._products.get((g, h))
         if out is None:
-            out = self.coordinates(s, t, compose(self.morphism(mid, t, i),
-                                                 self.morphism(s, mid, j)))
-            self._comp[key] = out
+            out = self._products[g, h] = self.coordinates(
+                self.ends[h][0], self.ends[g][1], compose(self.morphism(g), self.morphism(h)))
         return out
 
-    def _unit_index(self, a):
-        """k with e_k the identity of object a; None for a zero object,
-        whose End is 0."""
+    def _unit_id(self, a):
         u = self.coordinates(a, a, identity_morphism(self.objects[a]))
-        if not u and not self.dim(a, a):
+        if not u and not self.ids[a][a]:
             return None
-        k = min(u, default=None)
-        if u != {k: self.domain.one}:
+        g = min(u, default=None)
+        if u != {g: self.domain.one}:
             raise InvariantError(f"the identity of nerve object {a} is one basis vector")
-        return k
+        return g
 
     def _check_unit_law(self):
         one = self.domain.one
-        units = self.unit_index
-        for s in range(self.count):
-            for t in range(self.count):
-                for i in range(self.dim(s, t)):
-                    e = {i: one}
-                    if (self.comp(s, t, t, units[t], i) != e
-                            or self.comp(s, s, t, i, units[s]) != e):
-                        raise InvariantError(
-                            f"unit law id . f = f = f . id on Hom(P_{s}, P_{t})")
+        for g, (s, t, _) in enumerate(self.ends):
+            e = {g: one}
+            if self.product(self.unit[t], g) != e or self.product(g, self.unit[s]) != e:
+                raise InvariantError(f"unit law id . f = f = f . id on Hom(P_{s}, P_{t})")
 
 
 class NerveBasis(list):
-    """The degree-n basis: (object tuple o, morphism tuple m) keys in
-    lexicographic order, with their index.
+    """The degree-n basis: keys (g_0, ..., g_n) of morphism ids in walk
+    order, with their index.
 
-    Factor j of a key is basis morphism m[j] of Hom(P_o[j+1], P_o[j]),
-    indices mod n + 1 (see `ends`).  Every nerve operator is one `matrix`
-    call with an image function on keys.
+    Factor j of a key lies in Hom(P_o[j+1], P_o[j]) for the key's object
+    tuple o, indices mod n + 1: each factor starts where the next one ends,
+    so a key is a closed chain of composable morphisms.  Every nerve
+    operator is one `matrix` call with an image function on keys.
 
-    Only the object tuples whose factors all have a nonempty index range
-    carry keys.  They are the closed walks o[0] -> o[1] -> ... -> o[n] ->
-    o[0] in the support graph of Hom, where factor j may step from a to c
-    when its range on Hom(P_c, P_a) is nonempty.  `_walks` lists them
-    depth first in increasing object order, which is the lexicographic
-    order of all tuples with the empty ones left out, so each tuple's
-    ranges are computed once and the cost is per nonempty tuple.  The size
-    is counted against the cap during the walk, before any key is listed.
+    Only the object tuples whose factors all have a nonempty id range carry
+    keys.  They are the closed walks o[0] -> o[1] -> ... -> o[n] -> o[0] in
+    the support graph of Hom, where factor j may step from a to c when its
+    range on Hom(P_c, P_a) is nonempty.  `_walks` lists them depth first in
+    increasing object order, and each tuple's keys follow in the product
+    order of its ranges, so each tuple's ranges are computed once and the
+    cost is per nonempty tuple.  The size is counted against the cap during
+    the walk, before any key is listed.
     """
 
     def __init__(self, data, n):
@@ -194,9 +199,9 @@ class NerveBasis(list):
                 raise ValueError(
                     f"cyclic nerve degree {n} needs more than {BASIS_CAP} basis elements"
                 )
-            tuples.append((o, ranges))
-        for o, ranges in tuples:
-            self.extend((o, m) for m in product(*ranges))
+            tuples.append(ranges)
+        for ranges in tuples:
+            self.extend(product(*ranges))
         self.index = {key: i for i, key in enumerate(self)}
 
     def _walks(self):
@@ -219,22 +224,13 @@ class NerveBasis(list):
                 yield o
 
     def _factor_range(self, j, s, t):
-        """The morphism indices of factor j, in Hom(P_s, P_t)."""
-        return range(self.data.dim(s, t))
+        """The morphism ids of factor j, in Hom(P_s, P_t)."""
+        return self.data.ids[s][t]
 
     def _ranges(self, o):
-        """The morphism indices of each factor of the keys on object tuple o."""
-        return [self._factor_range(j, *self.ends(o, j)) for j in range(self.degree + 1)]
-
-    def ends(self, o, j):
-        """(source, target) objects of factor j of a key with object tuple o."""
+        """The morphism ids of each factor of the keys on object tuple o."""
         n = self.degree
-        return o[(j + 1) % (n + 1)], o[j]
-
-    def factors(self, key):
-        """The morphisms of a key, factor by factor."""
-        o, m = key
-        return [self.data.morphism(*self.ends(o, j), k) for j, k in enumerate(m)]
+        return [self._factor_range(j, o[(j + 1) % (n + 1)], o[j]) for j in range(n + 1)]
 
     def degenerate(self, key):
         """Whether a key is zero in this basis's complex: never, here."""
@@ -273,36 +269,28 @@ class NormalizedNerveBasis(NerveBasis):
     degenerate target keys, which are zero in the quotient.
     """
 
+    def __init__(self, data, n):
+        self._units = frozenset(data.unit)
+        super().__init__(data, n)
+
     def _factor_range(self, j, s, t):
-        indices = super()._factor_range(j, s, t)
+        ids = super()._factor_range(j, s, t)
         if j and s == t:
-            unit = self.data.unit_index[s]
-            return [k for k in indices if k != unit]
-        return indices
+            return [g for g in ids if g != self.data.unit[s]]
+        return ids
 
     def degenerate(self, key):
-        o, m = key
-        unit = self.data.unit_index
-        return any(m[j] == unit[o[j]] and self.ends(o, j)[0] == o[j]
-                   for j in range(1, self.degree + 1))
+        return not self._units.isdisjoint(key[1:])
 
 
 def _face_image(basis, i):
     """d_i composes factors i and i + 1; d_n puts the composite in front."""
     n = basis.degree
-    comp = basis.data.comp
-
-    def image(key):
-        o, m = key
-        if i < n:
-            s, mid = basis.ends(o, i + 1)
-            o2 = o[: i + 1] + o[i + 2 :]
-            return [((o2, m[:i] + (k,) + m[i + 2 :]), c)
-                    for k, c in comp(s, mid, o[i], m[i], m[i + 1]).items()]
-        o2 = (o[n],) + o[1:n]
-        return [((o2, (k,) + m[1:n]), c) for k, c in comp(o[1], o[0], o[n], m[n], m[0]).items()]
-
-    return image
+    product = basis.data.product
+    if i < n:
+        return lambda key: [(key[:i] + (k,) + key[i + 2 :], c)
+                            for k, c in product(key[i], key[i + 1]).items()]
+    return lambda key: [((k,) + key[1:n], c) for k, c in product(key[n], key[0]).items()]
 
 
 def _face(basis, target, i):
@@ -313,25 +301,18 @@ def _rotation(basis):
     """t = (-1)^n x the cyclic rotation of the factors."""
     n = basis.degree
     sign = -1 if n % 2 else 1
-
-    def image(key):
-        o, m = key
-        return (((o[n],) + o[:n], (m[n],) + m[:n]), sign),
-
-    return basis.matrix(basis, image, basis.data.domain)
+    return basis.matrix(basis, lambda key: [((key[n],) + key[:n], sign)], basis.data.domain)
 
 
 def _insert_unit(basis, target, i):
-    """Insert the identity basis vector after factor i, coefficient one: s_i
+    """Insert the identity of the object after factor i, coefficient one: s_i
     for 0 <= i <= n, and for i = -1 the identity of the first object in
-    front (the extra degeneracy s)."""
-    unit = basis.data.unit_index
+    front (the extra degeneracy s).  That object is where factor i starts."""
+    unit, ends = basis.data.unit, basis.data.ends
     one = basis.data.domain.one
 
     def image(key):
-        o, m = key
-        a = basis.ends(o, i)[0]
-        return ((o[: i + 1] + (a,) + o[i + 1 :], m[: i + 1] + (unit[a],) + m[i + 1 :]), one),
+        return (key[: i + 1] + (unit[ends[key[i]][0]],) + key[i + 1 :], one),
 
     return basis.matrix(target, image, basis.data.domain)
 
@@ -350,26 +331,25 @@ def _normalized_b(basis, target):
 
 def _s_norm(basis, target):
     """s N, the extra degeneracy after the cyclic norm N = 1 + t + ... + t^n:
-    the identity in front of each signed rotation t^i = (-1)^(ni) x rotation^i.
-    B is (1 - t) s N on the full nerve and s N on the normalized one.
+    the identity in front of each signed rotation t^i = (-1)^(ni) x rotation^i,
+    of the object where its factor 0 ends.  B is (1 - t) s N on the full
+    nerve and s N on the normalized one.
 
     Every factor of a key is a factor j >= 1 of each term, between the
     same objects, so when the i = 0 term is degenerate in `target` every
     term is, and the key's column is empty."""
     n = basis.degree
-    unit = basis.data.unit_index
+    unit, ends = basis.data.unit, basis.data.ends
     index = target.index
 
     def image(key):
-        o, m = key
-        first = ((o[0],) + o, (unit[o[0]],) + m)
+        first = (unit[ends[key[0]][1]],) + key
         if first not in index and target.degenerate(first):
             return
         yield first, 1
         for i in range(1, n + 1):
-            cut = n + 1 - i
-            o2 = o[cut:] + o[:cut]
-            yield ((o2[0],) + o2, (unit[o2[0]],) + m[cut:] + m[:cut]), -1 if n * i % 2 else 1
+            r = key[n + 1 - i :] + key[: n + 1 - i]
+            yield (unit[ends[r[0]][1]],) + r, -1 if n * i % 2 else 1
 
     return basis.matrix(target, image, basis.data.domain)
 

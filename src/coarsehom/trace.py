@@ -7,7 +7,7 @@ tuple (x_0, ..., x_n) is the trace of the composite
 
 walking the block supports only, so the cost tracks the sparsity of the
 morphisms.  phi_matrix(n) is one depth-first pass over the trie of nerve
-keys: the partial product A_0 A_1 ... A_j of a key prefix (o, m[:j + 1])
+keys: the partial product A_0 A_1 ... A_j of a key prefix key[:j + 1]
 is formed once and shared by every key below it, and the last factor
 enters only through tr(P A_n) summed entry by entry.  The image is an
 invariant chain (a trace is invariant under conjugation), so, like every
@@ -21,11 +21,11 @@ A `TraceContext` is the two complexes phi joins, each from its one
 builder: the nerve's mixed complex from `homology.space_mixed_complex`
 and the full tuple complex `chains.TupleChainComplex`, whose bases and
 boundaries it reads.  It is the unnormalized complex, not XH's Moore
-quotient: t and s N below do not descend to the quotient.  Nerve keys and
-their factors are read through `cyclic.NerveBasis`.  The nerve pushforward
-CN(f_*), a map of cyclic modules, is one `NerveBasis.matrix` call between
-two nerves of one kind: two full nerves, or two normalized ones, which is
-how excision uses it.
+quotient: t and s N below do not descend to the quotient.  A nerve key
+is the tuple of its factors' morphism ids, read through the nerve data of
+`cyclic`.  The nerve pushforward CN(f_*), a map of cyclic modules, is one
+`NerveBasis.matrix` call between two nerves of one kind: two full nerves,
+or two normalized ones, which is how excision uses it.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
@@ -91,38 +91,34 @@ class TraceContext:
         under conjugation).  A tuple missing from the basis index raises
         `InvariantError`.  The stack holds, for each factor j < n of the
         current key, the partial products A_0 ... A_j of its prefix
-        (o, m[:j + 1]); the next key reuses the part of the stack its prefix
-        shares, so over keys in lexicographic order each partial product is
-        formed once.  Factor n is never multiplied in: tr(P A_n) is summed
-        entry by entry.
+        key[:j + 1], which fixes the objects of those factors; the next key
+        reuses the part of the stack its prefix shares, so over keys in
+        walk order each partial product is formed once.  Factor n is never
+        multiplied in: tr(P A_n) is summed entry by entry.
         """
         data = self.nerve.data
-        ends = self.nerve.basis[n].ends
         index = self.chains.bases[n].index
         starts = {orb[0] for orb in self.space.orbits()}
         adjacency = {}
 
-        def by_target(o, j, k):
-            """Blocks of basis morphism k in factor j: {target: {source: block}}."""
-            s, t = ends(o, j)
-            adj = adjacency.get((s, t, k))
+        def by_target(g):
+            """Blocks of basis morphism g: {target: {source: block}}."""
+            adj = adjacency.get(g)
             if adj is None:
-                adj = adjacency[(s, t, k)] = {}
-                for (x, y), blk in data.morphism(s, t, k).blocks.items():
+                adj = adjacency[g] = {}
+                for (x, y), blk in data.morphism(g).blocks.items():
                     adj.setdefault(y, {})[x] = blk
             return adj
 
         stack = []  # stack[j]: [(x_n, (x_0, ..., x_j), A_0 ... A_j)]
-        prev = (None, ())
+        prev = ()
         for key in self.nerve.basis[n]:
-            o, m = key
             shared = 0
-            if o == prev[0]:
-                while shared < len(stack) and m[shared] == prev[1][shared]:
-                    shared += 1
+            while shared < len(stack) and key[shared] == prev[shared]:
+                shared += 1
             del stack[shared:]
             for j in range(shared, max(n, 1)):
-                adj = by_target(o, j, m[j])
+                adj = by_target(key[j])
                 if j == 0:
                     states = [(xn, (x0,), blk) for xn, row in adj.items()
                               for x0, blk in row.items() if x0 in starts]
@@ -138,7 +134,7 @@ class TraceContext:
                     if path[0] == xn:
                         out[path] = _trace_of(partial)
             else:
-                final = by_target(o, n, m[n])
+                final = by_target(key[n])
                 for xn, path, partial in stack[-1]:
                     blk = final.get(path[-1], {}).get(xn)
                     if blk is not None:
@@ -203,8 +199,8 @@ def dennis_trace_k0(ctx, m):
         raise ValueError("dennis_trace_k0 needs the orbit-regular object list")
     dom = ctx.domain
     index = ctx.nerve.basis[0].index
-    unit = ctx.nerve.data.unit_index
-    vec = finished({index[((i,), (unit[i],))]: m.dims[orb[0]]
+    unit = ctx.nerve.data.unit
+    vec = finished({index[(unit[i],)]: m.dims[orb[0]]
                     for i, orb in enumerate(ctx.space.orbits()) if m.dims[orb[0]]}, dom)
     image = ctx.phi(0, vec)
     expected = {
@@ -257,7 +253,8 @@ def nerve_pushforward_matrix(src, tgt, f, n):
 
     On free actions the pushforward of an orbit-regular object along an
     equivariant controlled map is literally the orbit-regular object of the
-    image orbit, so each factor's image expands in the target hom bases.
+    image orbit, so the image of a key is the product of its factors'
+    images, each expanded over the target's morphism ids.
     `src` and `tgt` are cyclic modules or mixed complexes, both on full or
     both on normalized nerve bases: the pushforward sends identities to
     identities, so it descends to the normalized nerves, where the
@@ -273,29 +270,26 @@ def nerve_pushforward_matrix(src, tgt, f, n):
     for orb in f.source.orbits():
         y = f(orb[0])
         orbit_map.append(next(i for i, t in enumerate(tgt_orbits) if y in t))
-    basis = src.basis[n]
     coord_cache = {}
 
-    def coords(s, t, k):
-        """Sorted target coordinates of the image of basis morphism k of Hom(P_s, P_t)."""
-        got = coord_cache.get((s, t, k))
+    def coords(g):
+        """Sorted target coordinates of the image of basis morphism g."""
+        got = coord_cache.get(g)
         if got is None:
+            s, t, _ = src.data.ends[g]
             pushed = pushforward_morphism(
                 f,
-                src.data.morphism(s, t, k),
+                src.data.morphism(g),
                 pushed_source=tgt.data.objects[orbit_map[s]],
                 pushed_target=tgt.data.objects[orbit_map[t]],
             )
             got = sorted(tgt.data.coordinates(orbit_map[s], orbit_map[t], pushed).items())
-            coord_cache[(s, t, k)] = got
+            coord_cache[g] = got
         return got
 
     def image(key):
-        o, m = key
-        o2 = tuple(orbit_map[i] for i in o)
-        parts = [coords(*basis.ends(o, j), k) for j, k in enumerate(m)]
         # each combination of target basis morphisms is a different key
-        return [((o2, tuple(k for k, _ in combo)), prod(v for _, v in combo))
-                for combo in product(*parts)]
+        return [(tuple(g for g, _ in combo), prod(v for _, v in combo))
+                for combo in product(*map(coords, key))]
 
-    return basis.matrix(tgt.basis[n], image, src.domain)
+    return src.basis[n].matrix(tgt.basis[n], image, src.domain)

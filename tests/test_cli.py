@@ -160,6 +160,42 @@ def test_action_shape_validated(tmp_path, capsys):
     assert "action" in err
 
 
+def _trivial_doc(points, gens):
+    return {"points": points, "entourage_generators": gens,
+            "group": {"elements": ["e"], "table": [[0]]}, "action": [list(range(len(points)))]}
+
+
+def test_generator_entries_are_labels_not_indices(tmp_path, capsys):
+    # label 2 is point 0 and label 0 is point 1: the pair relates those two
+    path = write_space(tmp_path, _trivial_doc([2, 0, 1], [[2, 0]]))
+    code, out, err = run_cli(capsys, "describe", path)
+    assert code == 0 and err == ""
+    assert "entourage generators: [['2', '0']]" in out
+
+
+def test_integer_labels_past_the_point_count_resolve(tmp_path, capsys):
+    doc = _trivial_doc([5, 7], [[5, 7]])
+    doc["bornology_generators"] = [[5, 7]]
+    code, out, err = run_cli(capsys, "describe", write_space(tmp_path, doc))
+    assert code == 0 and err == ""
+    assert "entourage generators: [['5', '7']]" in out
+
+
+@pytest.mark.parametrize("field, gens, where", [
+    ("entourage_generators", [["e", "r"], ["e", ["r"]]], "entourage_generators[1][1]"),
+    ("entourage_generators", [[{"x": 0}, "r"]], "entourage_generators[0][0]"),
+    ("entourage_generators", [["e", "s"]], "entourage_generators[0][1]"),
+    ("bornology_generators", [["e", "r"], [["e"]]], "bornology_generators[1][0]"),
+    ("bornology_generators", [["e", 0]], "bornology_generators[0][1]"),
+], ids=["list", "object", "unknown", "borno-list", "borno-index"])
+def test_a_bad_generator_entry_is_bad_input_with_its_path(tmp_path, capsys, field, gens, where):
+    doc = z2_doc()
+    doc[field] = gens
+    code, out, err = run_cli(capsys, "describe", write_space(tmp_path, doc))
+    assert code == 2
+    assert where in err and "point label" in err
+
+
 def test_nonfree_space_rejected_for_nerve_theories(capsys):
     code, out, err = run_cli(capsys, "run", "@gmodh:s3/z3", "--theory", "hochschild")
     assert code == 2
@@ -223,6 +259,7 @@ def test_missing_file(capsys):
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
+REPO = Path(__file__).parent.parent
 GOLDEN_RUNS = {
     "s3-all-d3": "@gcanmin:s3 --theory all --max-degree 3",
     "z3-cyclic-fp5-d4": "@gcanmin:z3 --theory cyclic --coeff Fp:5 --max-degree 4",
@@ -233,11 +270,14 @@ GOLDEN_RUNS = {
     "s3-axioms-b10-seed0-d3": "@gcanmin:s3 --theory axioms --budget 10 --seed 0 --max-degree 3",
     "z4-ordinary-z-d6": "@gcanmin:z4 --theory ordinary --coeff Z --max-degree 6",
     "s3-ordinary-z-d5": "@gcanmin:s3 --theory ordinary --coeff Z --max-degree 5",
+    # two orbits: the one golden run whose nerve has more than one object
+    "z3-two-orbits-all-d4": "tests/data/spaces/z3-two-orbits.json --theory all --max-degree 4",
 }
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
-def test_json_report_matches_its_golden_file(capsys, name):
+def test_json_report_matches_its_golden_file(monkeypatch, capsys, name):
+    monkeypatch.chdir(REPO)  # the report records a file space by the path it was given
     code, out, err = run_cli(capsys, "run", *GOLDEN_RUNS[name].split(), "--format", "json")
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

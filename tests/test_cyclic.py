@@ -177,11 +177,11 @@ def test_single_object_nerve_data_matches_the_structure_constants(group):
     data = _NerveData([gen])
     alg = endomorphism_algebra(gen)
     assert len(alg.unit) == 1
-    assert data.dim(0, 0) == alg.dimension
-    assert {data.unit_index[0]: 1} == alg.unit
+    assert data.ids[0][0] == range(alg.dimension)
+    assert {data.unit[0]: 1} == alg.unit
     for i in range(alg.dimension):
         for j in range(alg.dimension):
-            assert data.comp(0, 0, 0, i, j) == alg.struct[i][j]
+            assert data.product(i, j) == alg.struct[i][j]
 
 
 # ----------------------------------------------------- convention policing
@@ -423,15 +423,16 @@ def test_normalized_and_full_nerve_agree_on_the_fuzz_probes():
 
 def _every_tuple_keys(data, n, normalized):
     """The degree-n keys listed over every object tuple, empty ones included,
-    in `product` order: the enumeration the closed walks must reproduce."""
+    in `product` order: the flat id keys in the order the closed walks must
+    reproduce, each with its object tuple."""
     keys = []
     for o in product(range(data.count), repeat=n + 1):
         ranges = []
         for j in range(n + 1):
             s, t = o[(j + 1) % (n + 1)], o[j]
-            ranges.append([k for k in range(data.dim(s, t))
-                           if not (normalized and j and s == t and k == data.unit_index[s])])
-        keys += [(o, m) for m in product(*ranges)]
+            ranges.append([g for g in data.ids[s][t]
+                           if not (normalized and j and s == t and g == data.unit[s])])
+        keys += [(o, key) for key in product(*ranges)]
     return keys
 
 
@@ -451,8 +452,25 @@ def test_nerve_walk_lists_the_keys_of_every_tuple_in_order():
         for n in range(4):
             for cls, normalized in ((NerveBasis, False), (NormalizedNerveBasis, True)):
                 basis = cls(data, n)
-                assert list(basis) == _every_tuple_keys(data, n, normalized)
+                assert list(basis) == [key for _, key in _every_tuple_keys(data, n, normalized)]
                 assert basis.index == {key: i for i, key in enumerate(basis)}
+    assert several > 0
+
+
+def test_every_key_is_a_closed_composable_chain():
+    several = 0
+    for probe in _fuzz_probes():
+        data = _NerveData(orbit_objects(probe, QQ))
+        several += data.count > 1
+        ends = data.ends
+        for n in range(4):
+            for basis in (NerveBasis(data, n), NormalizedNerveBasis(data, n)):
+                assert all(isinstance(g, int) for key in basis for g in key)
+                assert all(ends[key[j]][0] == ends[key[(j + 1) % (n + 1)]][1]
+                           for key in basis for j in range(n + 1))
+                assert len(basis.index) == len(basis)
+                assert sorted(basis.index.values()) == list(range(len(basis)))
+                assert all(basis[i] == key for key, i in basis.index.items())
     assert several > 0
 
 
@@ -545,7 +563,7 @@ def _zero_hom_probe():
     for probe in _fuzz_probes():
         objects = orbit_objects(probe, QQ)
         data = _NerveData(objects)
-        dims = [[data.dim(s, t) for t in range(data.count)] for s in range(data.count)]
+        dims = [[len(data.ids[s][t]) for t in range(data.count)] for s in range(data.count)]
         if dims == [[2, 0, 2], [0, 1, 0], [2, 0, 2]]:
             return objects, data
     raise AssertionError("no such fuzz probe")
@@ -588,7 +606,7 @@ def test_nerve_build_visits_only_tuples_with_keys():
         additive_cyclic_nerve(objects, 3)
         normalized_mixed_complex(objects, 3)
     for nerve_data, n, o in visits:
-        assert all(nerve_data.dim(o[(j + 1) % (n + 1)], o[j]) for j in range(n + 1)), o
+        assert all(nerve_data.ids[o[(j + 1) % (n + 1)]][o[j]] for j in range(n + 1)), o
     keyed = sum(len({o for o, _ in _every_tuple_keys(data, n, normalized)})
                 for normalized in (False, True) for n in range(4))
     assert len(visits) == keyed == 65
@@ -701,9 +719,9 @@ def test_a_spread_unit_becomes_a_basis_vector():
     assert endomorphism_algebra(gen).unit == {0: 1, 1: 1}
     data = additive_cyclic_nerve([gen], 1).data
     assert data.coordinates(0, 0, identity_morphism(gen)) == {0: 1}
-    assert data.unit_index == [0]
-    assert data.morphism(0, 0, 0).blocks == identity_morphism(gen).blocks
-    assert data.coordinates(0, 0, data.morphism(0, 0, 1)) == {1: 1}
+    assert data.unit == [0]
+    assert data.morphism(0).blocks == identity_morphism(gen).blocks
+    assert data.coordinates(0, 0, data.morphism(1)) == {1: 1}
 
 
 def test_a_unit_that_is_not_a_basis_vector_is_a_named_internal_error(monkeypatch):
@@ -718,7 +736,8 @@ def test_a_failed_unit_law_is_a_named_internal_error(monkeypatch):
     # the identity's coordinates are e_0, but basis morphism 0 is not the identity
     gen = generator(two_points(False), QQ)
     monkeypatch.setattr(cyclic_module._NerveData, "morphism",
-                        lambda self, s, t, k: self.hom[s][t].basis[k])
+                        lambda self, g: self.hom[self.ends[g][0]][self.ends[g][1]].basis[
+                            self.ends[g][2]])
     with pytest.raises(InvariantError, match="unit law"):
         nerve_profiles(gen.space, 2, QQ, [gen])
 
@@ -733,8 +752,8 @@ def test_s_norm_tests_one_term_of_a_key_with_an_identity_in_front(monkeypatch):
     monkeypatch.setattr(NormalizedNerveBasis, "degenerate",
                         lambda self, key: tested.append(key) or real(self, key))
     s_norm = cyclic_module._s_norm(basis, up)
-    unit = data.unit_index
-    front = [j for j, (o, m) in enumerate(basis) if m[0] == unit[o[0]] and o[1] == o[0]]
+    unit = set(data.unit)
+    front = [j for j, key in enumerate(basis) if key[0] in unit]
     assert front and len(tested) == len(front)
     assert all(not s_norm.column(j) for j in front)
     assert all(s_norm.column(j) for j in range(len(basis)) if j not in front)
@@ -747,7 +766,7 @@ def test_normalized_matrix_drops_only_degenerate_keys():
     norm = cyclic_module.NormalizedNerveBasis(data, 1)
     assert [key for key in full if norm.degenerate(key)] == [
         key for key in full if key not in norm.index]
-    unit_key = ((0, 0), (0, data.unit_index[0]))
+    unit_key = (0, data.unit[0])
     assert full.matrix(norm, lambda key: [(unit_key, 1)], QQ).is_zero()
     with pytest.raises(InvariantError, match="lies in the nerve basis"):
-        full.matrix(norm, lambda key: [(((0, 0), (0, 99)), 1)], QQ)
+        full.matrix(norm, lambda key: [((0, 99), 1)], QQ)

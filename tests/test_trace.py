@@ -65,17 +65,17 @@ def test_phi_scales_the_point():
 def test_phi_of_a_swap_tensor_swap():
     space = two_point_line()
     ctx = TraceContext(space, QQ, objects=[generator(space, QQ)], max_degree=2)
-    hom = ctx.nerve.data.hom[0][0]
+    data = ctx.nerve.data
     swap = {}
-    for i, b in enumerate(hom.basis):
-        sup = b.support()
+    for g in data.ids[0][0]:
+        sup = data.morphism(g).support()
         if sup == ((0, 1),) or sup == ((1, 0),):
-            swap[i] = QQ.one
+            swap[g] = QQ.one
     assert len(swap) == 2
     vec = {}
-    for i, ci in swap.items():
-        for j, cj in swap.items():
-            vec[ctx.nerve.basis[1].index[((0, 0), (i, j))]] = ci * cj
+    for g, cg in swap.items():
+        for h, ch in swap.items():
+            vec[ctx.nerve.basis[1].index[(g, h)]] = cg * ch
     out = ctx.phi(1, vec)
     assert out.coefficients == {(0, 1): QQ.one, (1, 0): QQ.one}
 
@@ -94,8 +94,7 @@ def test_phi_support_stays_inside_the_block_supports():
     ctx = canmin_ctx(2, max_degree=2)
     n = 1
     for i, key in enumerate(ctx.nerve.basis[n]):
-        factors = ctx.nerve.basis[n].factors(key)
-        allowed = [set(a.blocks) for a in factors]
+        allowed = [set(ctx.nerve.data.morphism(g).blocks) for g in key]
         chain = ctx.phi(n, {i: 1}).coefficients
         for (x0, x1) in chain:
             assert (x0, x1) in allowed[0]
@@ -108,7 +107,7 @@ def test_phi_support_stays_inside_the_block_supports():
 def _oracle_phi(ctx, n, key):
     """phi of one key from the definition, on every (n + 1)-tuple of points:
     tr(A_0(x_0 -> x_n) @ A_1(x_1 -> x_0) @ ... @ A_n(x_n -> x_(n-1)))."""
-    a = ctx.nerve.basis[n].factors(key)
+    a = [ctx.nerve.data.morphism(g) for g in key]
     out = {}
     for tup in product(range(ctx.space.n), repeat=n + 1):
         composite = a[0].block(tup[0], tup[n])
@@ -156,8 +155,8 @@ def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
 
 def test_the_direct_sum_object_has_blocks_bigger_than_one():
     ctx = _direct_sum_ctx(QQ, 1)
-    blocks = [blk for key in ctx.nerve.basis[0] for a in ctx.nerve.basis[0].factors(key)
-              for blk in a.blocks.values()]
+    blocks = [blk for key in ctx.nerve.basis[0] for g in key
+              for blk in ctx.nerve.data.morphism(g).blocks.values()]
     assert blocks and all((blk.nrows, blk.ncols) == (2, 2) for blk in blocks)
 
 
