@@ -60,10 +60,6 @@ class ControlledObject:
     def rho_block(self, g, x):
         return self.rho[g][x]
 
-    @property
-    def total_dim(self):
-        return sum(self.dims)
-
     def __eq__(self, other):
         return (
             isinstance(other, ControlledObject)

@@ -430,6 +430,8 @@ def additive_cyclic_nerve(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None):
     An empty object list gives the zero module over `domain` (default Q);
     otherwise a given `domain` must be the objects' own.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     data = _NerveData(objects, domain)
     basis = [NerveBasis(data, n) for n in range(max_degree + 1)]
     faces = [[]] + [[_face(basis[n], basis[n - 1], i) for i in range(n + 1)]
@@ -443,10 +445,10 @@ class MixedComplex:
     """(C, b, B) on the nerve bases `basis`: b^2 = 0 checked by the
     b-complex, B^2 = 0 and bB + Bb = 0 here, on `big_b`, the list of B_n.
     The degree cap, domain and dimensions are read off b, and the nerve
-    data off the bases.
+    data off the bases; it keeps no cyclic module's faces or t.
     """
 
-    def __init__(self, b, big_b, basis, source=None):
+    def __init__(self, b, big_b, basis):
         self.b_complex = Complex(b, "Hochschild complex")
         self.max_degree = self.b_complex.max_degree
         self.domain = self.b_complex.domain
@@ -454,7 +456,6 @@ class MixedComplex:
         self.basis = basis
         self.data = basis[0].data
         self.big_b = big_b
-        self.source = source
         self._verify()
 
     def b(self, n):
@@ -497,7 +498,7 @@ def to_mixed(module):
         b.append(acc)
     big = [(Matrix.identity(module.dims[n + 1], module.domain) - module.cyclic(n + 1))
            @ _s_norm(module.basis[n], module.basis[n + 1]) for n in range(N)]
-    return MixedComplex(b, big, module.basis, source=module)
+    return MixedComplex(b, big, module.basis)
 
 
 def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None):
@@ -509,6 +510,8 @@ def normalized_mixed_complex(objects, max_degree=DEFAULT_MAX_DEGREE, domain=None
     it is built.  The empty list and `domain` are as for
     `additive_cyclic_nerve`.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, not {max_degree}")
     data = _NerveData(objects, domain)
     basis = [NormalizedNerveBasis(data, n) for n in range(max_degree + 1)]
     b = [Matrix(0, len(basis[0]), data.domain)]

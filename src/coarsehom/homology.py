@@ -19,16 +19,18 @@ def ordinary_profile(space, max_degree=3, domain=ZZ):
 
 def _nerve_objects(space, domain, objects):
     require_nerve_admissible(space, domain)
-    return orbit_objects(space, domain) if objects is None else objects
+    objects = orbit_objects(space, domain) if objects is None else objects
+    if any(ob.space is not space for ob in objects):
+        raise ValueError("nerve objects must live over the space itself")
+    return objects
 
 
 def space_mixed_complex(space, max_degree=3, domain=QQ, objects=None):
     """The mixed complex of the full additive cyclic nerve on orbit-regular
-    objects, with the cyclic module as its `source`: what needs t, the
-    trace and the identity suite, and nothing else."""
-    nerve = additive_cyclic_nerve(_nerve_objects(space, domain, objects), max_degree,
-                                  domain=domain)
-    return to_mixed(nerve)
+    objects: what needs t, the trace and the identity suite.  The cyclic
+    module, its identities checked, is dropped once b and B are read off."""
+    objects = _nerve_objects(space, domain, objects)
+    return to_mixed(additive_cyclic_nerve(objects, max_degree, domain=domain))
 
 
 def nerve_complex(space, max_degree=3, domain=QQ, objects=None):

@@ -1016,6 +1016,8 @@ class Complex:
 
     def _set_up(self, d):
         """The fields of a complex on boundaries d, with no d^2 = 0 check."""
+        if not d:
+            raise ValueError("a complex needs d[0]: max_degree must be >= 0")
         self.d = list(d)
         self.domain = d[0].domain
         self.max_degree = len(d) - 1

@@ -18,14 +18,14 @@ its orbit's least and so its own basis element.  phi of a nerve vector
 reads the same matrix.
 
 A `TraceContext` is the two complexes phi joins, each from its one
-builder: the nerve's mixed complex from `homology.space_mixed_complex`
-and the full tuple complex `chains.TupleChainComplex`, whose bases and
-boundaries it reads.  It is the unnormalized complex, not XH's Moore
-quotient: t and s N below do not descend to the quotient.  A nerve key
-is the tuple of its factors' morphism ids, read through the nerve data of
-`cyclic`.  The nerve pushforward CN(f_*), a map of cyclic modules, is one
-`NerveBasis.matrix` call between two nerves of one kind: two full nerves,
-or two normalized ones, which is how excision uses it.
+builder: the nerve's mixed complex from `homology.space_mixed_complex`,
+whose bases and nerve data phi reads, and the full tuple complex
+`chains.TupleChainComplex`, whose bases and boundaries it reads.  That is
+the unnormalized complex, not XH's Moore quotient: t and s N below do not
+descend to the quotient.  A nerve key is the tuple of its factors'
+morphism ids.  The nerve pushforward CN(f_*), a map of cyclic modules, is
+one `NerveBasis.matrix` call between two nerves of one kind: two full
+nerves, or two normalized ones, which is how excision uses it.
 
 phi is a map of cyclic structures: it intertwines faces with coordinate
 deletion, the cyclic operator with signed tuple rotation, and the front
@@ -62,15 +62,13 @@ def _trace_of_product(a, b):
 
 
 class TraceContext:
-    """The nerve's mixed complex and the coarse chain complex, with phi cached."""
+    """The nerve's mixed complex and the tuple chain complex, with phi cached."""
 
     def __init__(self, space, domain=QQ, objects=None, max_degree=DEFAULT_MAX_DEGREE):
         self.space = space
         self.domain = domain
         self.max_degree = max_degree
         self.mixed = space_mixed_complex(space, max_degree, domain, objects)
-        self.nerve = self.mixed.source
-        self.objects = self.nerve.data.objects
         self.chains = TupleChainComplex(space, max_degree, domain)
         self._phi_cols = [None] * (max_degree + 1)
 
@@ -96,7 +94,7 @@ class TraceContext:
         walk order each partial product is formed once.  Factor n is never
         multiplied in: tr(P A_n) is summed entry by entry.
         """
-        data = self.nerve.data
+        data = self.mixed.data
         index = self.chains.bases[n].index
         starts = {orb[0] for orb in self.space.orbits()}
         adjacency = {}
@@ -112,7 +110,7 @@ class TraceContext:
 
         stack = []  # stack[j]: [(x_n, (x_0, ..., x_j), A_0 ... A_j)]
         prev = ()
-        for key in self.nerve.basis[n]:
+        for key in self.mixed.basis[n]:
             shared = 0
             while shared < len(stack) and key[shared] == prev[shared]:
                 shared += 1
@@ -179,9 +177,7 @@ class TraceContext:
         if not (0 <= n <= self.max_degree):
             raise ValueError(f"iota undefined in degree {n}")
         c = self.domain.coerce(c)
-        if c == self.domain.zero:
-            return {}
-        return {0: c}
+        return {0: c} if c != self.domain.zero else {}
 
 
 def dennis_trace_k0(ctx, m):
@@ -195,11 +191,11 @@ def dennis_trace_k0(ctx, m):
     """
     if m.space is not ctx.space or m.domain is not ctx.domain:
         raise ValueError("object lives outside the trace context")
-    if ctx.objects != orbit_objects(ctx.space, ctx.domain):
+    if ctx.mixed.data.objects != orbit_objects(ctx.space, ctx.domain):
         raise ValueError("dennis_trace_k0 needs the orbit-regular object list")
     dom = ctx.domain
-    index = ctx.nerve.basis[0].index
-    unit = ctx.nerve.data.unit
+    index = ctx.mixed.basis[0].index
+    unit = ctx.mixed.data.unit
     vec = finished({index[(unit[i],)]: m.dims[orb[0]]
                     for i, orb in enumerate(ctx.space.orbits()) if m.dims[orb[0]]}, dom)
     image = ctx.phi(0, vec)

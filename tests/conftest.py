@@ -22,7 +22,7 @@ def _sign_flipped(good):
     the named `InvariantError`; tests use it to see a failed identity reported.
     """
     big = [good.B(n).scale(-1) if n % 2 == 0 else good.B(n) for n in range(good.max_degree)]
-    return MixedComplex(good.b_complex.d, big, good.basis, source=good.source)
+    return MixedComplex(good.b_complex.d, big, good.basis)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 
 import coarsehom.bar_oracle as bar_oracle
 from coarsehom.bar_oracle import bar_complex, bar_hh, bar_hc
-from coarsehom.cyclic import TotComplex, additive_cyclic_nerve, to_mixed
+from coarsehom.cyclic import TotComplex, additive_cyclic_nerve
 from coarsehom.groups import cyclic_group, symmetric_group
 from coarsehom.linalg import GF, QQ
 from coarsehom.spaces import g_can_min
@@ -74,7 +74,7 @@ def test_modular_case_is_not_semisimple():
 def test_oracle_agrees_with_the_nerve_route(k):
     group = cyclic_group(k)
     ctx = TraceContext(g_can_min(group), QQ, max_degree=3)
-    mixed = to_mixed(ctx.nerve)
+    mixed = ctx.mixed
     tot = TotComplex(mixed.b_complex, mixed.big_b)
     for n in range(3):
         assert mixed.b_complex.homology(n).betti == bar_hh(group.table, n, QQ)

@@ -40,7 +40,7 @@ def z2_canmin():
 def test_generator_point():
     m = generator(point_space(), QQ)
     assert m.dims == (1,)
-    assert m.total_dim == 1
+    assert sum(m.dims) == 1
 
 
 def test_orbit_regular_needs_an_orbit():
@@ -76,7 +76,7 @@ def test_sign_cocycle_is_accepted():
     e = [Matrix.identity(1, QQ), Matrix.identity(1, QQ)]
     sign = [Matrix.from_dense([[-1]], QQ), Matrix.from_dense([[-1]], QQ)]
     m = ControlledObject(x, (1, 1), [e, sign], QQ)
-    assert m.total_dim == 2
+    assert sum(m.dims) == 2
 
 
 # ------------------------------------------------------------- morphisms

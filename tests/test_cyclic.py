@@ -23,7 +23,7 @@ from coarsehom.axioms import (
     random_space,
 )
 from coarsehom.bar_oracle import bar_complex
-from coarsehom.chains import controlled_tuple_basis
+from coarsehom.chains import CoarseChainComplex, TupleChainComplex, controlled_tuple_basis
 from coarsehom.controlled import endomorphism_algebra, generator, identity_morphism, orbit_objects
 from coarsehom.cyclic import (
     NerveBasis,
@@ -37,7 +37,7 @@ from coarsehom.cyclic import (
 )
 from coarsehom.groups import cyclic_group, named_group, symmetric_group, trivial_group
 from coarsehom.homology import nerve_complex, nerve_profiles, ordinary_profile, space_mixed_complex
-from coarsehom.linalg import GF, QQ, InvariantError, Matrix, finished, rank
+from coarsehom.linalg import GF, QQ, Complex, InvariantError, Matrix, finished, rank
 from coarsehom.spaces import GBornCoarseSpace, g_can_min, point_space
 from coarsehom.trace import TraceContext, xc_connes_operator, xc_cyclic_operator
 
@@ -728,8 +728,9 @@ def test_a_unit_that_is_not_a_basis_vector_is_a_named_internal_error(monkeypatch
     # coordinates read in the solved basis, without the swap to the identity
     monkeypatch.setattr(cyclic_module._NerveData, "coordinates",
                         lambda self, s, t, mor: self.hom[s][t].coordinates(mor))
+    space = two_points(False)
     with pytest.raises(InvariantError, match="identity of nerve object 0 is one basis vector"):
-        nerve_profiles(two_points(False), 2, QQ, [generator(two_points(False), QQ)])
+        nerve_profiles(space, 2, QQ, [generator(space, QQ)])
 
 
 def test_a_failed_unit_law_is_a_named_internal_error(monkeypatch):
@@ -770,3 +771,62 @@ def test_normalized_matrix_drops_only_degenerate_keys():
     assert full.matrix(norm, lambda key: [(unit_key, 1)], QQ).is_zero()
     with pytest.raises(InvariantError, match="lies in the nerve basis"):
         full.matrix(norm, lambda key: [((0, 99), 1)], QQ)
+
+
+# -- bad input -----------------------------------------------------------------
+
+
+def _nerve_entry_points():
+    """Every public builder that takes nerve objects, as f(space, objects)."""
+    return {
+        "nerve_profiles": lambda sp, obs: nerve_profiles(sp, 3, QQ, objects=obs),
+        "nerve_complex": lambda sp, obs: nerve_complex(sp, 3, QQ, objects=obs),
+        "space_mixed_complex": lambda sp, obs: space_mixed_complex(sp, 3, QQ, objects=obs),
+        "TraceContext": lambda sp, obs: TraceContext(sp, QQ, objects=obs, max_degree=3),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_nerve_entry_points()))
+@pytest.mark.parametrize("foreign", [
+    lambda: [generator(g_can_min(cyclic_group(3)), QQ)],
+    lambda: orbit_objects(g_can_min(cyclic_group(2)), QQ),
+], ids=["z3-generator", "equal-z2-orbit-objects"])
+def test_nerve_objects_over_another_space_are_bad_input(entry, foreign):
+    # without the check Z/3's generator gave Z/3's profiles on Z/2, phi an
+    # internal error, and a second equal copy of Z/2 no error at all
+    with pytest.raises(ValueError, match="nerve objects must live over the space"):
+        _nerve_entry_points()[entry](g_can_min(cyclic_group(2)), foreign())
+
+
+def test_nerve_objects_over_the_space_itself_are_accepted():
+    z2 = g_can_min(cyclic_group(2))
+    assert nerve_profiles(z2, 3, QQ, objects=[generator(z2, QQ)]) == ([2, 0, 0], [2, 0, 2])
+
+
+def _negative_cap_entry_points():
+    """Every public entry point that takes a degree cap, called with cap -1."""
+    z2 = g_can_min(cyclic_group(2))
+    objects = orbit_objects(z2, QQ)
+    return {
+        "Complex": lambda: Complex([]),
+        "CoarseChainComplex": lambda: CoarseChainComplex(z2, -1),
+        "TupleChainComplex": lambda: TupleChainComplex(z2, -1),
+        "additive_cyclic_nerve": lambda: additive_cyclic_nerve(objects, -1),
+        "normalized_mixed_complex": lambda: normalized_mixed_complex(objects, -1),
+        "ordinary_profile": lambda: ordinary_profile(z2, -1),
+        "nerve_profiles": lambda: nerve_profiles(z2, -1, QQ),
+        "TraceContext": lambda: TraceContext(z2, QQ, max_degree=-1),
+        "check_identity_suite": lambda: check_identity_suite(z2, -1),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_negative_cap_entry_points()))
+def test_a_negative_degree_cap_is_bad_input(entry):
+    with pytest.raises(ValueError, match="max_degree"):
+        _negative_cap_entry_points()[entry]()
+
+
+def test_degree_cap_zero_lists_no_degree():
+    z2 = g_can_min(cyclic_group(2))
+    assert ordinary_profile(z2, 0) == []
+    assert nerve_profiles(z2, 0, QQ) == ([], [])

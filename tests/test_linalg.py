@@ -811,10 +811,10 @@ def test_sums_outside_linalg_are_canonical(domain):
     cx = TraceContext(x, domain, max_degree=2)
     cy = TraceContext(y, domain, max_degree=2)
     for n in range(3):
-        for k in range(cx.nerve.dims[n]):
+        for k in range(cx.mixed.dims[n]):
             for vec in ({k: 3}, {k: 2, 0: half}):
                 _assert_canonical(cx.phi(n, vec).coefficients.values(), domain)
-        push = nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n)
+        push = nerve_pushforward_matrix(cx.mixed, cy.mixed, f, n)
         assert all(push._cols.values()), "empty column stored"
         _assert_canonical([v for col in push._cols.values() for v in col.values()], domain)
 

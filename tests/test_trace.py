@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -13,9 +15,9 @@ from coarsehom.chains import (
     basis_chain,
     pushforward_matrix,
 )
-from coarsehom.controlled import generator
+from coarsehom.controlled import generator, orbit_objects
 from coarsehom.groups import cyclic_group, named_group, named_subgroup, trivial_group
-from coarsehom.cyclic import NormalizedNerveBasis
+from coarsehom.cyclic import NormalizedNerveBasis, additive_cyclic_nerve
 from coarsehom.homology import nerve_complex
 from coarsehom.linalg import GF, InvariantError, Matrix, QQ, finished, kernel_basis, rank
 from coarsehom.spaces import (
@@ -65,7 +67,7 @@ def test_phi_scales_the_point():
 def test_phi_of_a_swap_tensor_swap():
     space = two_point_line()
     ctx = TraceContext(space, QQ, objects=[generator(space, QQ)], max_degree=2)
-    data = ctx.nerve.data
+    data = ctx.mixed.data
     swap = {}
     for g in data.ids[0][0]:
         sup = data.morphism(g).support()
@@ -75,7 +77,7 @@ def test_phi_of_a_swap_tensor_swap():
     vec = {}
     for g, cg in swap.items():
         for h, ch in swap.items():
-            vec[ctx.nerve.basis[1].index[(g, h)]] = cg * ch
+            vec[ctx.mixed.basis[1].index[(g, h)]] = cg * ch
     out = ctx.phi(1, vec)
     assert out.coefficients == {(0, 1): QQ.one, (1, 0): QQ.one}
 
@@ -83,7 +85,7 @@ def test_phi_of_a_swap_tensor_swap():
 def test_phi_image_is_invariant_and_controlled():
     ctx = canmin_ctx(3, max_degree=3)
     for n in range(3):
-        for idx in range(ctx.nerve.dims[n]):
+        for idx in range(ctx.mixed.dims[n]):
             chain = ctx.phi(n, {idx: QQ.one})
             # re-run the full constructor checks on the raw coefficients
             rebuilt = ControlledChain(ctx.space, n, chain.coefficients, QQ)
@@ -93,8 +95,8 @@ def test_phi_image_is_invariant_and_controlled():
 def test_phi_support_stays_inside_the_block_supports():
     ctx = canmin_ctx(2, max_degree=2)
     n = 1
-    for i, key in enumerate(ctx.nerve.basis[n]):
-        allowed = [set(ctx.nerve.data.morphism(g).blocks) for g in key]
+    for i, key in enumerate(ctx.mixed.basis[n]):
+        allowed = [set(ctx.mixed.data.morphism(g).blocks) for g in key]
         chain = ctx.phi(n, {i: 1}).coefficients
         for (x0, x1) in chain:
             assert (x0, x1) in allowed[0]
@@ -107,7 +109,7 @@ def test_phi_support_stays_inside_the_block_supports():
 def _oracle_phi(ctx, n, key):
     """phi of one key from the definition, on every (n + 1)-tuple of points:
     tr(A_0(x_0 -> x_n) @ A_1(x_1 -> x_0) @ ... @ A_n(x_n -> x_(n-1)))."""
-    a = [ctx.nerve.data.morphism(g) for g in key]
+    a = [ctx.mixed.data.morphism(g) for g in key]
     out = {}
     for tup in product(range(ctx.space.n), repeat=n + 1):
         composite = a[0].block(tup[0], tup[n])
@@ -145,7 +147,7 @@ def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
     ctx = make(domain)
     nonzero = 0
     for n in range(ctx.max_degree + 1):
-        keys = ctx.nerve.basis[n]
+        keys = ctx.mixed.basis[n]
         got = list(_phi_columns_as_chains(ctx, n))
         assert got == [_oracle_phi(ctx, n, key) for key in keys]
         assert [ctx.phi(n, {i: 1}).coefficients for i in range(len(keys))] == got
@@ -155,8 +157,8 @@ def test_phi_matrix_matches_the_block_trace_oracle(make, domain):
 
 def test_the_direct_sum_object_has_blocks_bigger_than_one():
     ctx = _direct_sum_ctx(QQ, 1)
-    blocks = [blk for key in ctx.nerve.basis[0] for g in key
-              for blk in ctx.nerve.data.morphism(g).blocks.values()]
+    blocks = [blk for key in ctx.mixed.basis[0] for g in key
+              for blk in ctx.mixed.data.morphism(g).blocks.values()]
     assert blocks and all((blk.nrows, blk.ncols) == (2, 2) for blk in blocks)
 
 
@@ -199,7 +201,7 @@ def test_phi_on_a_non_free_action_is_an_internal_error(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1])
 def test_phi_rejects_an_index_outside_the_nerve_basis(n):
     ctx = canmin_ctx(2, max_degree=1)
-    for idx in (-1, ctx.nerve.dims[n]):
+    for idx in (-1, ctx.mixed.dims[n]):
         with pytest.raises(IndexError):
             ctx.phi(n, {idx: QQ.one})
 
@@ -249,8 +251,26 @@ def test_boundary_matrix_reuses_the_context_bases(monkeypatch):
 
 def test_trace_context_on_no_orbits_keeps_its_domain():
     ctx = TraceContext(empty_space(), GF(5), max_degree=2)
-    assert ctx.nerve.domain is GF(5) and ctx.mixed.domain is GF(5)
+    assert ctx.mixed.data.domain is GF(5) and ctx.mixed.domain is GF(5)
     assert ctx.phi_matrix(1).domain is GF(5)
+
+
+def test_no_cyclic_module_outlives_the_context(monkeypatch):
+    # the context keeps the mixed complex, not the faces and t it came from
+    built = []
+    real = homology_module.additive_cyclic_nerve
+
+    def recorded(*args, **kwargs):
+        module = real(*args, **kwargs)
+        built.append(weakref.ref(module))
+        return module
+
+    monkeypatch.setattr(homology_module, "additive_cyclic_nerve", recorded)
+    ctx = TraceContext(g_can_min(cyclic_group(2)), QQ, max_degree=3)
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+    for n in range(1, ctx.max_degree + 1):
+        assert ctx.phi_matrix(n - 1) @ ctx.mixed.b(n) == ctx.boundary_matrix(n) @ ctx.phi_matrix(n)
 
 
 @pytest.mark.slow
@@ -357,7 +377,7 @@ def test_dennis_trace_on_the_point():
 
 def test_dennis_trace_counts_fiber_dimensions():
     ctx = canmin_ctx(2, max_degree=1)
-    m = ctx.objects[0]
+    m = ctx.mixed.data.objects[0]
     vec, image = dennis_trace_k0(ctx, m)
     assert image.coefficients == {(0,): QQ.one, (1,): QQ.one}
     m2 = direct_sum(m, m)
@@ -399,7 +419,7 @@ def test_nerve_pushforward_commutes_with_phi():
     cy = TraceContext(y, QQ, max_degree=2)
     for n in range(3):
         push_chain = pushforward_matrix(cx.chains, cy.chains, f, n)
-        push_nerve = nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n)
+        push_nerve = nerve_pushforward_matrix(cx.mixed, cy.mixed, f, n)
         left = push_chain @ cx.phi_matrix(n)
         right = cy.phi_matrix(n) @ push_nerve
         assert left.to_dense() == right.to_dense()
@@ -414,17 +434,16 @@ def random_setup():
 @pytest.mark.parametrize("setup", [collapse_setup, random_setup], ids=["collapse", "random"])
 def test_nerve_pushforward_is_a_map_of_cyclic_modules(setup, domain):
     x, y, f = setup()
-    cx = TraceContext(x, domain, max_degree=3)
-    cy = TraceContext(y, domain, max_degree=3)
-    push = [nerve_pushforward_matrix(cx.nerve, cy.nerve, f, n) for n in range(4)]
+    cx, cy = (additive_cyclic_nerve(orbit_objects(sp, domain), 3, domain) for sp in (x, y))
+    push = [nerve_pushforward_matrix(cx, cy, f, n) for n in range(4)]
     assert not any(p.is_zero() for p in push)
     for n in range(4):
-        assert push[n] @ cx.nerve.cyclic(n) == cy.nerve.cyclic(n) @ push[n]
+        assert push[n] @ cx.cyclic(n) == cy.cyclic(n) @ push[n]
         for i in range(n + 1):
             if n >= 1:
-                assert push[n - 1] @ cx.nerve.face(n, i) == cy.nerve.face(n, i) @ push[n]
+                assert push[n - 1] @ cx.face(n, i) == cy.face(n, i) @ push[n]
             if n < 3:
-                assert push[n + 1] @ cx.nerve.degeneracy(n, i) == cy.nerve.degeneracy(n, i) @ push[n]
+                assert push[n + 1] @ cx.degeneracy(n, i) == cy.degeneracy(n, i) @ push[n]
 
 
 def test_nerve_pushforward_checks_endpoints():
@@ -432,7 +451,7 @@ def test_nerve_pushforward_checks_endpoints():
     cx = TraceContext(x, QQ, max_degree=1)
     cy = TraceContext(y, QQ, max_degree=1)
     with pytest.raises(ValueError, match="endpoints"):
-        nerve_pushforward_matrix(cy.nerve, cx.nerve, f, 0)
+        nerve_pushforward_matrix(cy.mixed, cx.mixed, f, 0)
 
 
 def test_nerve_pushforward_joins_nerves_of_one_kind_and_domain():
